@@ -11,6 +11,7 @@ only) and both axes use a Hann window by default.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,14 @@ from .types import FrameCube, RadarConfig, RangeDopplerMap
 
 STAGE_ORDER = ("mti", "range_fft", "clutter", "doppler_fft")
 MTI_MODES = ("ema", "mean")
+
+# glibc mallopt parameters and the heap limits process_frame sets: the
+# mmap threshold is glibc's own ceiling for its dynamic threshold, and
+# the trim threshold is twice it, as the dynamic rule pairs them.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 class MtiStateError(ValueError):
@@ -196,6 +205,30 @@ def doppler_fft(
     )
 
 
+@functools.cache
+def _keep_frame_buffers_on_heap() -> None:
+    """Let one frame's freed numpy buffers serve the next frame.
+
+    glibc maps every block above its mmap threshold afresh and hands
+    the top of its heap back to the kernel once more than twice that
+    threshold lies free. The threshold starts at 128 KiB and only rises
+    to the largest mapped block freed so far, about 0.8 MB here (a
+    complex128 frame cube), so a frame's cubes and beam sweeps cross
+    both limits: each frame re-faults over a thousand fresh pages, and
+    that kernel work is as slow as the host's memory load makes it.
+    Raising both limits once keeps the buffers on the heap for reuse.
+    Process-wide; a no-op where the C library has no ``mallopt``.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def process_frame(
     frame: FrameCube,
     state: MtiState,
@@ -207,7 +240,9 @@ def process_frame(
     Returns the range-Doppler map with provenance flags recording which
     stages ran, plus the updated MTI state (unchanged when MTI is
     disabled). Deterministic: identical inputs give identical outputs.
+    The first call sets the C heap limits (``_keep_frame_buffers_on_heap``).
     """
+    _keep_frame_buffers_on_heap()
     validate_options(options)
     if not frame.matches(config):
         raise ValueError(

@@ -4,6 +4,12 @@ Pipeline per frame and view: per-range-bin energy compensation, range
 gating into body-region bands, digital beamforming on the two antenna
 pairs, relative-threshold detection, velocity-extreme selection down to
 the fixed point budget, and projection into the head frame.
+
+With one transmitter and three receivers the angle field is separable:
+the azimuth-pair response magnitude times the elevation-pair one. The
+chain keeps the two factors, swept over the gate's rows only, and
+detection forms their product only in cells whose peak clears the
+threshold, so the (range, Doppler, beam, beam) field is never built.
 """
 from __future__ import annotations
 
@@ -24,6 +30,10 @@ from .types import (
     gate_tag,
     sentinel_point,
 )
+
+# Slack on the field-of-view bound, so beams computed at exactly
+# +-max_steer are not rejected for rounding.
+_FOV_TOL_RAD = 1e-9
 
 
 def energy_compensation(rd: RangeDopplerMap) -> RangeDopplerMap:
@@ -130,15 +140,17 @@ def beamform(
     weights: np.ndarray,
     config: RadarConfig,
 ) -> BeamGrid:
-    """Sweep both antenna pairs over the beam set; combine as a product.
+    """Sweep both antenna pairs over the beam set; keep the two factors.
 
     Channels are grouped as azimuth pair (0, 1) and elevation pair
     (0, 2) sharing the corner antenna. Each pair is combined by
     delay-and-sum with the conjugated steering weights, so a source
     with a positive inter-antenna phase ramp peaks on the matching
-    positive beam. The detection field is the element-wise product of
-    the two pairs' response magnitudes over (azimuth beam, elevation
-    beam).
+    positive beam. The detection field is the product of the two
+    pairs' response magnitudes over (azimuth beam, elevation beam); the
+    grid holds the two magnitude factors, not their product. Only rows
+    from the first to the last with a non-zero cell (a gated map's
+    band) are swept: every other row of the field is zero.
     """
     cells = rd.cells
     if cells.shape[2] != 3:
@@ -150,30 +162,21 @@ def beamform(
         raise ValueError(
             f"weights shape {weights.shape} does not match (2, {config.beam_count})"
         )
-    n_r, n_d, _ = cells.shape
-    n_b = config.beam_count
-    mags = np.zeros((n_r, n_d, n_b, n_b))
-    # Rows of zeros (everything a gate removed) stay zero without
-    # spending beam sweeps on them.
-    live = np.any(cells.reshape(n_r, -1) != 0, axis=1)
-    if np.any(live):
-        w1c = np.conj(weights[1])[None, None, :]
-        sub = cells[live]
-        az = sub[:, :, 0, None] * np.conj(weights[0])[None, None, :] + (
-            sub[:, :, 1, None] * w1c
-        )
-        el = sub[:, :, 0, None] * np.conj(weights[0])[None, None, :] + (
-            sub[:, :, 2, None] * w1c
-        )
-        mags[live] = np.abs(az)[:, :, :, None] * np.abs(el)[:, :, None, :]
+    live = np.flatnonzero(np.any(cells.reshape(cells.shape[0], -1) != 0, axis=1))
+    first, stop = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+    sub = cells[first:stop]
+    corner = sub[:, :, 0, None] * np.conj(weights[0])
+    w1c = np.conj(weights[1])
     return BeamGrid(
-        magnitudes=mags,
+        azimuth_magnitudes=np.abs(corner + sub[:, :, 1, None] * w1c),
+        elevation_magnitudes=np.abs(corner + sub[:, :, 2, None] * w1c),
         beam_angles_rad=tuple(config.beam_angles_rad),
         gate=rd.gate or "",
         range_bin_width_m=rd.range_bin_width_m,
         velocity_bin_width_mps=rd.velocity_bin_width_mps,
         view=rd.view,
         frame_index=rd.frame_index,
+        first_range_bin=first,
         calibrated_timestamp_ns=rd.calibrated_timestamp_ns,
     )
 
@@ -226,22 +229,27 @@ def detect_points(grid: BeamGrid, config: RadarConfig) -> Candidates:
     The reference is the peak magnitude of the given (already gated)
     grid, so detection is insensitive to absolute scale. A cell is kept
     when 20*log10(magnitude / peak) exceeds the threshold; an all-zero
-    grid yields no candidates.
+    grid yields no candidates. Candidates come out in row-major
+    (range, Doppler, azimuth beam, elevation beam) order.
+
+    A (range, Doppler) cell's peak is max(azimuth) * max(elevation):
+    rounding a product of non-negative floats is monotone in each
+    factor, so this equals the maximum of the products exactly. The
+    per-beam products are formed only in cells whose peak clears the
+    threshold.
     """
-    mags = grid.magnitudes
-    cell_peak = mags.max(axis=(2, 3)) if mags.size else np.zeros((0, 0))
+    az = grid.azimuth_magnitudes
+    el = grid.elevation_magnitudes
+    cell_peak = az.max(axis=2) * el.max(axis=2) if az.size else np.zeros((0, 0))
     peak = cell_peak.max() if cell_peak.size else 0.0
     if peak <= 0.0:
         return Candidates.empty(grid.view, grid.gate)
     threshold = peak * 10.0 ** (config.detect_threshold_db / 20.0)
-    # Scan beam pairs only inside cells whose own peak clears the
-    # threshold; everything else cannot contribute. Candidate order
-    # matches a row-major scan of the full grid.
     live_r, live_d = np.nonzero(cell_peak > threshold)
-    sub = mags[live_r, live_d]
+    sub = az[live_r, live_d, :, None] * el[live_r, live_d, None, :]
     sub_mask = sub > threshold
     cell, a, e = np.nonzero(sub_mask)
-    r = live_r[cell]
+    r = live_r[cell] + grid.first_range_bin
     d = live_d[cell]
     angles = np.asarray(grid.beam_angles_rad)
     centre = grid.zero_velocity_bin
@@ -314,8 +322,8 @@ def project_to_cartesian(
     """
     if range_m < 0:
         raise ValueError(f"negative range {range_m}")
-    tol = 1e-9
-    if abs(azimuth_rad) > max_angle_rad + tol or abs(elevation_rad) > max_angle_rad + tol:
+    limit = max_angle_rad + _FOV_TOL_RAD
+    if abs(azimuth_rad) > limit or abs(elevation_rad) > limit:
         raise ValueError(
             f"angles ({azimuth_rad:.4f}, {elevation_rad:.4f}) rad fall outside "
             f"the +-{max_angle_rad:.4f} rad field of view"
@@ -328,6 +336,43 @@ def project_to_cartesian(
         ]
     )
     return pose.sensor_to_head(range_m * direction)
+
+
+def _project_candidates(
+    cands: Candidates, pose: RadarPose, config: RadarConfig
+) -> np.ndarray:
+    """``project_to_cartesian`` over every candidate row in one stack.
+
+    Sines and cosines of the beam angles the candidates' bins index are
+    taken with ``math``, as the one-point path takes them, so each
+    direction is the same. A row that the one-point path rejects raises
+    its error, checked over the field of view of ``config``.
+    """
+    max_angle_rad = config.max_steer_rad
+    limit = max_angle_rad + _FOV_TOL_RAD
+    bad = (
+        (cands.ranges_m < 0)
+        | (np.abs(cands.azimuths_rad) > limit)
+        | (np.abs(cands.elevations_rad) > limit)
+    )
+    if bad.any():
+        k = int(np.argmax(bad))
+        project_to_cartesian(
+            float(cands.ranges_m[k]),
+            float(cands.azimuths_rad[k]),
+            float(cands.elevations_rad[k]),
+            pose,
+            max_angle_rad=max_angle_rad,
+        )
+    angles = config.beam_angles_rad.tolist()
+    beam_sin = np.array([math.sin(t) for t in angles])
+    beam_cos = np.array([math.cos(t) for t in angles])
+    az, el = cands.azimuth_bins, cands.elevation_bins
+    direction = np.stack(
+        [beam_sin[az] * beam_cos[el], beam_sin[el], beam_cos[az] * beam_cos[el]],
+        axis=1,
+    )
+    return pose.sensor_to_head(cands.ranges_m[:, None] * direction)
 
 
 def extract_point_cloud(
@@ -360,22 +405,24 @@ def extract_point_cloud(
             )
             continue
         n_real = len(selected) - pad_count
-        for k in range(len(selected)):
-            position = project_to_cartesian(
-                float(selected.ranges_m[k]),
-                float(selected.azimuths_rad[k]),
-                float(selected.elevations_rad[k]),
-                pose,
-                max_angle_rad=config.max_steer_rad,
-            )
+        positions = _project_candidates(selected, pose, config)
+        columns = zip(
+            positions.tolist(),
+            selected.velocities_mps.tolist(),
+            selected.energies.tolist(),
+            selected.ranges_m.tolist(),
+            selected.azimuths_rad.tolist(),
+            selected.elevations_rad.tolist(),
+        )
+        for k, (position, velocity, energy, range_m, az, el) in enumerate(columns):
             points.append(
                 RadarPoint(
-                    position_m=tuple(float(v) for v in position),
-                    radial_velocity_mps=float(selected.velocities_mps[k]),
-                    energy=float(selected.energies[k]),
-                    range_m=float(selected.ranges_m[k]),
-                    azimuth_rad=float(selected.azimuths_rad[k]),
-                    elevation_rad=float(selected.elevations_rad[k]),
+                    position_m=tuple(position),
+                    radial_velocity_mps=velocity,
+                    energy=energy,
+                    range_m=range_m,
+                    azimuth_rad=az,
+                    elevation_rad=el,
                     view=rd.view,
                     gate=tag,
                     is_pad=k >= n_real,

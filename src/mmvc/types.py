@@ -426,30 +426,61 @@ class RangeDopplerMap:
 
 @dataclass(frozen=True, eq=False)
 class BeamGrid:
-    """Beamformed detection field indexed (range, Doppler, az beam, el beam).
+    """Beamformed detection field, held as its two separable factors.
 
-    Magnitudes are the product of the azimuth-pair and elevation-pair
-    response magnitudes; phase is consumed by the aggregation.
+    ``azimuth_magnitudes`` and ``elevation_magnitudes`` are the response
+    magnitudes of the azimuth pair (0, 1) and the elevation pair (0, 2),
+    each indexed (row, Doppler bin, beam); row i is range bin
+    ``first_range_bin + i``. The field at (range, Doppler, az beam a,
+    el beam e) is the azimuth factor at beam a times the elevation
+    factor at beam e of the same cell, and is zero outside the stored
+    rows; phase is consumed by the aggregation.
     """
 
-    magnitudes: np.ndarray
+    azimuth_magnitudes: np.ndarray
+    elevation_magnitudes: np.ndarray
     beam_angles_rad: tuple[float, ...]
     gate: str
     range_bin_width_m: float
     velocity_bin_width_mps: float
     view: str
     frame_index: int
+    first_range_bin: int = 0
     calibrated_timestamp_ns: int | None = None
 
     def __post_init__(self) -> None:
-        _freeze_array(self, "magnitudes", self.magnitudes, ndim=4)
+        az = _freeze_array(self, "azimuth_magnitudes", self.azimuth_magnitudes, ndim=3)
+        el = _freeze_array(
+            self, "elevation_magnitudes", self.elevation_magnitudes, ndim=3
+        )
+        if az.shape != el.shape:
+            raise ValueError(
+                f"azimuth factor shape {az.shape} does not match "
+                f"elevation factor shape {el.shape}"
+            )
+        if self.first_range_bin < 0:
+            raise ValueError(f"negative first range bin {self.first_range_bin}")
         object.__setattr__(
             self, "beam_angles_rad", tuple(float(a) for a in self.beam_angles_rad)
         )
 
     @property
+    def magnitudes(self) -> np.ndarray:
+        """The full field indexed (range bin, Doppler, az beam, el beam).
+
+        Built on each access, from range bin 0 through the last stored
+        row; rows before ``first_range_bin`` are zero.
+        """
+        az, el = self.azimuth_magnitudes, self.elevation_magnitudes
+        n_r, n_d, n_b = az.shape
+        out = np.zeros((self.first_range_bin + n_r, n_d, n_b, n_b))
+        out[self.first_range_bin :] = az[:, :, :, None] * el[:, :, None, :]
+        out.setflags(write=False)
+        return out
+
+    @property
     def zero_velocity_bin(self) -> int:
-        return self.magnitudes.shape[1] // 2
+        return self.azimuth_magnitudes.shape[1] // 2
 
 
 @dataclass(frozen=True)

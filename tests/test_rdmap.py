@@ -1,6 +1,15 @@
 """Spectral chain: MTI filter, FFTs, clutter removal, stage plumbing."""
+import ctypes
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mmvc
 
 from mmvc import (
     MtiState,
@@ -9,6 +18,8 @@ from mmvc import (
     clutter_removal,
     doppler_fft,
     dump_tensor,
+    energy_compensation,
+    extract_point_cloud,
     load_tensor,
     mti_filter,
     process_frame,
@@ -263,6 +274,50 @@ def test_process_frame_carries_frame_identity(config):
     assert rd.view == "right"
     assert rd.frame_index == 9
     assert rd.calibrated_timestamp_ns == 1234
+
+
+_WARM_FRAMES_SCRIPT = """
+import json, resource
+import numpy as np
+from mmvc import (MtiState, RadarConfig, default_pose_pair, energy_compensation,
+                  extract_point_cloud, process_frame, validate_config)
+from mmvc.types import FrameCube
+
+config = validate_config(RadarConfig())
+pose = default_pose_pair()[0]
+rng = np.random.default_rng(5)
+frames = []
+for k in range(20):
+    cube = rng.standard_normal((3, 128, 128)) + 1j * rng.standard_normal((3, 128, 128))
+    frames.append(FrameCube(samples=cube.astype(np.complex64), view=pose.view,
+                            frame_index=k, local_timestamp_ns=k))
+state, faults = MtiState(), []
+for frame in frames:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rd, state = process_frame(frame, state, config)
+    extract_point_cloud(energy_compensation(rd), pose, config)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def test_warm_frames_reuse_freed_heap():
+    """Once the heap has grown to a frame's needs, a frame through the
+    per-frame chain maps (almost) no fresh pages: its buffers reuse what
+    the previous frame freed. Without the heap limits a typical frame
+    faulted in several hundred pages. Runs in a fresh interpreter, since
+    the C heap's limits are process-wide and other tests move them."""
+    pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    src = str(Path(mmvc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _WARM_FRAMES_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    faults = json.loads(out.stdout)
+    assert np.median(faults[-10:]) < 32, faults
 
 
 def test_validate_options_rejects_bad_mode():

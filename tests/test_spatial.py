@@ -1,4 +1,5 @@
 """Spatial chain: compensation, gating, beamforming, detection, selection."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,17 +7,26 @@ import pytest
 
 from mmvc import (
     Candidates,
+    MtiState,
+    RadarPoint,
+    RadarPose,
+    Scatterer,
+    ScatterScene,
+    Trajectory,
     beamform,
     dbf_weights,
     detect_points,
     energy_compensation,
     extract_point_cloud,
     gate_bin_interval,
+    process_frame,
     project_to_cartesian,
     range_gate,
     select_by_velocity,
+    sentinel_point,
+    simulate_session,
 )
-from mmvc.types import BeamGrid, RangeDopplerMap
+from mmvc.types import BeamGrid, RangeDopplerMap, gate_tag
 
 
 def _rd(cells, config, view="right", **kwargs):
@@ -30,15 +40,39 @@ def _rd(cells, config, view="right", **kwargs):
     )
 
 
-def _grid(mags, config, view="right", gate="upper"):
+def _grid(az, el, config, first_range_bin=0, view="right", gate="upper"):
     return BeamGrid(
-        magnitudes=np.asarray(mags, dtype=float),
+        azimuth_magnitudes=np.asarray(az, dtype=float),
+        elevation_magnitudes=np.asarray(el, dtype=float),
         beam_angles_rad=tuple(config.beam_angles_rad),
         gate=gate,
         range_bin_width_m=config.range_resolution_m,
         velocity_bin_width_mps=config.velocity_resolution_mps,
         view=view,
         frame_index=0,
+        first_range_bin=first_range_bin,
+    )
+
+
+def _factors(shape, peaks):
+    """(azimuth, elevation) factors with az[r, d, a] = value, el[r, d, e] = 1."""
+    az = np.zeros(shape)
+    el = np.zeros(shape)
+    for (r, d, a, e), value in peaks.items():
+        az[r, d, a] = value
+        el[r, d, e] = 1.0
+    return az, el
+
+
+def _quads(cands):
+    """Candidate (range, Doppler, azimuth, elevation) bins, in output order."""
+    return list(
+        zip(
+            cands.range_bins.tolist(),
+            cands.doppler_bins.tolist(),
+            cands.azimuth_bins.tolist(),
+            cands.elevation_bins.tolist(),
+        )
     )
 
 
@@ -257,59 +291,76 @@ def test_beamform_carries_identity(config):
 
 
 def test_detection_keeps_within_3p5_db_of_peak(config):
-    mags = np.zeros((4, 4, 31, 31))
-    mags[0, 0, 0, 0] = 1.0  # reference peak
-    mags[1, 1, 5, 5] = 0.7  # -3.1 dB: kept
-    mags[2, 2, 9, 9] = 0.5  # -6.0 dB: dropped
-    cands = detect_points(_grid(mags, config), config)
+    az, el = _factors(
+        (4, 4, 31),
+        {
+            (0, 0, 0, 0): 1.0,  # reference peak
+            (1, 1, 5, 5): 0.7,  # -3.1 dB: kept
+            (2, 2, 9, 9): 0.5,  # -6.0 dB: dropped
+        },
+    )
+    cands = detect_points(_grid(az, el, config), config)
     kept = set(zip(cands.range_bins.tolist(), cands.doppler_bins.tolist()))
     assert kept == {(0, 0), (1, 1)}
+    assert cands.energies.tolist() == [1.0, 0.7]
 
 
 def test_detection_is_strict_at_exact_threshold(config):
-    mags = np.zeros((2, 2, 31, 31))
-    mags[0, 0, 0, 0] = 1.0
-    mags[1, 1, 1, 1] = 10.0 ** (config.detect_threshold_db / 20.0)
-    cands = detect_points(_grid(mags, config), config)
-    assert len(cands) == 1
-    assert cands.range_bins[0] == 0
+    at = 10.0 ** (config.detect_threshold_db / 20.0)  # the threshold for peak 1
+    az = np.zeros((3, 3, 31))
+    el = np.zeros((3, 3, 31))
+    az[0, 0, 0] = el[0, 0, 0] = 1.0
+    # a cell whose own peak sits exactly on the threshold
+    az[2, 2, 1] = at
+    el[2, 2, 1] = 1.0
+    # a cell that clears it, holding one product on it and one an ulp above
+    az[1, 1, 1] = at
+    az[1, 1, 2] = np.nextafter(at, np.inf)
+    el[1, 1, 1] = 1.0
+    cands = detect_points(_grid(az, el, config), config)
+    quads = _quads(cands)
+    assert quads == [(0, 0, 0, 0), (1, 1, 2, 1)]
 
 
 def test_detection_order_is_row_major(config):
-    mags = np.zeros((3, 3, 31, 31))
-    for r, d, a, e in [(2, 1, 4, 4), (0, 2, 7, 1), (0, 2, 1, 7), (1, 0, 0, 0)]:
-        mags[r, d, a, e] = 1.0
-    cands = detect_points(_grid(mags, config), config)
-    quads = list(
-        zip(
-            cands.range_bins.tolist(),
-            cands.doppler_bins.tolist(),
-            cands.azimuth_bins.tolist(),
-            cands.elevation_bins.tolist(),
-        )
-    )
-    assert quads == [(0, 2, 1, 7), (0, 2, 7, 1), (1, 0, 0, 0), (2, 1, 4, 4)]
+    az = np.zeros((3, 3, 31))
+    el = np.zeros((3, 3, 31))
+    az[2, 1, 4] = el[2, 1, 4] = 1.0
+    # one cell peaking on beams 1 and 7 of both axes: the separable field
+    # also holds the (1, 1) and (7, 7) cross terms
+    az[0, 2, [1, 7]] = el[0, 2, [1, 7]] = 1.0
+    az[1, 0, 0] = el[1, 0, 0] = 1.0
+    cands = detect_points(_grid(az, el, config), config)
+    quads = _quads(cands)
+    assert quads == [
+        (0, 2, 1, 1),
+        (0, 2, 1, 7),
+        (0, 2, 7, 1),
+        (0, 2, 7, 7),
+        (1, 0, 0, 0),
+        (2, 1, 4, 4),
+    ]
 
 
 def test_detection_scales_with_grid(config):
-    mags = np.zeros((2, 2, 31, 31))
-    mags[0, 0, 0, 0] = 1.0
-    mags[1, 1, 5, 5] = 0.7
-    big = detect_points(_grid(np.asarray(mags) * 1e6, config), config)
-    small = detect_points(_grid(mags, config), config)
+    az, el = _factors((2, 2, 31), {(0, 0, 0, 0): 1.0, (1, 1, 5, 5): 0.7})
+    big = detect_points(_grid(az * 1e6, el, config), config)
+    small = detect_points(_grid(az, el, config), config)
     assert len(big) == len(small) == 2
 
 
 def test_detection_of_empty_grid_yields_nothing(config):
-    cands = detect_points(_grid(np.zeros((2, 2, 31, 31)), config), config)
-    assert len(cands) == 0
-    assert cands.view == "right"
+    for shape in [(2, 2, 31), (0, 128, 31)]:
+        cands = detect_points(_grid(np.zeros(shape), np.zeros(shape), config), config)
+        assert len(cands) == 0
+        assert cands.view == "right"
 
 
 def test_detection_converts_bins_to_physical_units(config):
-    mags = np.zeros((30, 128, 31, 31))
-    mags[20, 101, 25, 15] = 1.0
-    cands = detect_points(_grid(mags, config), config)
+    # 12 stored rows starting at range bin 18, as the lower gate leaves them
+    az, el = _factors((12, 128, 31), {(2, 101, 25, 15): 1.0})
+    cands = detect_points(_grid(az, el, config, first_range_bin=18), config)
+    assert cands.range_bins.tolist() == [20]
     assert cands.ranges_m[0] == pytest.approx(1.0)
     assert cands.velocities_mps[0] == pytest.approx(
         37 * config.velocity_resolution_mps
@@ -445,6 +496,30 @@ def test_projection_direction_convention(config):
     )
 
 
+def test_stacked_projection_raises_the_one_point_errors(config, poses):
+    from mmvc.spatial import _project_candidates
+
+    cands = _make_candidates([0.1, 0.2, 0.3], [1.0, 1.0, 1.0], ranges=[10, 11, 12])
+    wide = dataclasses.replace(
+        cands, azimuths_rad=np.array([0.0, math.radians(46.0), 0.0])
+    )
+    behind = dataclasses.replace(cands, ranges_m=np.array([0.5, 0.5, -0.1]))
+    both = dataclasses.replace(wide, ranges_m=behind.ranges_m)
+    # the first offending row, checked range first, names the error
+    for bad, row in [(wide, 1), (behind, 2), (both, 1)]:
+        with pytest.raises(ValueError) as one_point:
+            project_to_cartesian(
+                float(bad.ranges_m[row]),
+                float(bad.azimuths_rad[row]),
+                float(bad.elevations_rad[row]),
+                poses[1],
+                max_angle_rad=config.max_steer_rad,
+            )
+        with pytest.raises(ValueError) as stacked:
+            _project_candidates(bad, poses[1], config)
+        assert str(stacked.value) == str(one_point.value)
+
+
 # --- full extraction ---------------------------------------------------------
 
 
@@ -513,3 +588,207 @@ def test_extraction_passes_timestamp_and_view(config, poses):
     cloud = extract_point_cloud(rd, poses[0], config)
     assert cloud.view == "left"
     assert cloud.timestamp_ns == 987654321
+
+
+# --- equivalence with the full 4-D field -------------------------------------
+#
+# The reference below builds the (range, Doppler, az beam, el beam) field
+# in full and scans it, and projects one point at a time: the chain as it
+# stood before the field was kept as two factors. The factored chain must
+# reproduce it bit for bit.
+
+
+def _reference_candidates(rd, weights, config):
+    cells = rd.cells
+    n_r, n_d, _ = cells.shape
+    n_b = config.beam_count
+    mags = np.zeros((n_r, n_d, n_b, n_b))
+    live = np.any(cells.reshape(n_r, -1) != 0, axis=1)
+    if np.any(live):
+        w1c = np.conj(weights[1])[None, None, :]
+        sub = cells[live]
+        az = sub[:, :, 0, None] * np.conj(weights[0])[None, None, :] + (
+            sub[:, :, 1, None] * w1c
+        )
+        el = sub[:, :, 0, None] * np.conj(weights[0])[None, None, :] + (
+            sub[:, :, 2, None] * w1c
+        )
+        mags[live] = np.abs(az)[:, :, :, None] * np.abs(el)[:, :, None, :]
+    view, gate = rd.view, rd.gate or ""
+    cell_peak = mags.max(axis=(2, 3)) if mags.size else np.zeros((0, 0))
+    peak = cell_peak.max() if cell_peak.size else 0.0
+    if peak <= 0.0:
+        return mags, Candidates.empty(view, gate)
+    threshold = peak * 10.0 ** (config.detect_threshold_db / 20.0)
+    live_r, live_d = np.nonzero(cell_peak > threshold)
+    sub = mags[live_r, live_d]
+    sub_mask = sub > threshold
+    cell, a, e = np.nonzero(sub_mask)
+    r = live_r[cell]
+    d = live_d[cell]
+    angles = np.asarray(tuple(config.beam_angles_rad))
+    return mags, Candidates(
+        range_bins=r,
+        doppler_bins=d,
+        azimuth_bins=a,
+        elevation_bins=e,
+        ranges_m=r * rd.range_bin_width_m,
+        velocities_mps=(d - n_d // 2) * rd.velocity_bin_width_mps,
+        azimuths_rad=angles[a],
+        elevations_rad=angles[e],
+        energies=sub[sub_mask],
+        view=view,
+        gate=gate,
+    )
+
+
+def _reference_points(rd, poses, config, weights):
+    """One point list per pose in ``poses``."""
+    clouds = [[] for _ in poses]
+    for i, bounds in enumerate(config.gate_bounds_m):
+        tag = gate_tag(i)
+        _, cands = _reference_candidates(range_gate(rd, bounds, tag), weights, config)
+        selected, pad_count = select_by_velocity(cands, config)
+        if len(selected) == 0:
+            for points in clouds:
+                points.extend(
+                    sentinel_point(rd.view, tag) for _ in range(2 * config.point_budget)
+                )
+            continue
+        n_real = len(selected) - pad_count
+        for pose, points in zip(poses, clouds):
+            for k in range(len(selected)):
+                position = project_to_cartesian(
+                    float(selected.ranges_m[k]),
+                    float(selected.azimuths_rad[k]),
+                    float(selected.elevations_rad[k]),
+                    pose,
+                    max_angle_rad=config.max_steer_rad,
+                )
+                points.append(
+                    RadarPoint(
+                        position_m=tuple(float(v) for v in position),
+                        radial_velocity_mps=float(selected.velocities_mps[k]),
+                        energy=float(selected.energies[k]),
+                        range_m=float(selected.ranges_m[k]),
+                        azimuth_rad=float(selected.azimuths_rad[k]),
+                        elevation_rad=float(selected.elevations_rad[k]),
+                        view=rd.view,
+                        gate=tag,
+                        is_pad=k >= n_real,
+                    )
+                )
+    return clouds
+
+
+@pytest.fixture(scope="module")
+def equivalence_maps(config, poses):
+    """Seeded maps: random, with zeroed rows inside a gate, and simulated."""
+    rng = np.random.default_rng(2411)
+    shape = (config.range_bin_count, config.chirps_per_frame, 3)
+
+    def noise():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    maps = []
+    for _ in range(24):
+        cells = noise()
+        for _ in range(3):
+            cells[rng.integers(shape[0]), rng.integers(shape[1])] *= rng.uniform(5, 50)
+        maps.append(_rd(cells, config))
+    gates = [
+        gate_bin_interval(b, config.range_resolution_m, shape[0])
+        for b in config.gate_bounds_m
+    ]
+    for k in range(12):
+        cells = noise()
+        first, last = gates[k % 2]
+        rows = np.arange(first, last + 1)
+        # the first two silence a whole gate; the rest hole it, edges included
+        count = len(rows) if k < 2 else int(rng.integers(1, len(rows)))
+        cells[rng.choice(rows, size=count, replace=False)] = 0.0
+        maps.append(_rd(cells, config, view="left" if k % 3 else "right"))
+    scene = ScatterScene(
+        scatterers=(
+            Scatterer(
+                trajectory=Trajectory.from_waypoints(
+                    [(0.0, 0.05, -0.50, 0.03), (1.0, 0.08, -0.75, 0.03)]
+                ),
+                reflectivity=1.0,
+            ),
+            Scatterer(
+                trajectory=Trajectory.from_waypoints(
+                    [(0.0, -0.05, -1.25, 0.10), (1.0, -0.02, -1.00, 0.05)]
+                ),
+                reflectivity=1.0,
+            ),
+        ),
+        noise_std=1.0,
+    )
+    session = simulate_session(scene, poses, config, 0.8, seed=77)
+    for view in ("left", "right"):
+        state = MtiState()
+        for frame in session.frames[view]:
+            rd, state = process_frame(frame, state, config)
+            maps.append(energy_compensation(rd))
+    assert len(maps) >= 50
+    return maps
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_factored_detection_matches_full_field(config, equivalence_maps):
+    weights = dbf_weights(config)
+    checked = 0
+    for rd in equivalence_maps:
+        for i, bounds in enumerate(config.gate_bounds_m):
+            m = range_gate(rd, bounds, gate_tag(i))
+            ref_mags, ref = _reference_candidates(m, weights, config)
+            grid = beamform(m, weights, config)
+            field = grid.magnitudes
+            assert _same_bits(field, ref_mags[: len(field)])
+            assert not ref_mags[len(field) :].any()
+            cands = detect_points(grid, config)
+            for f in dataclasses.fields(Candidates):
+                new, old = getattr(cands, f.name), getattr(ref, f.name)
+                if isinstance(old, np.ndarray):
+                    assert _same_bits(new, old), f.name
+                else:
+                    assert new == old, f.name
+            checked += len(ref)
+    assert checked > 0
+
+
+def test_factored_extraction_matches_per_point_reference(
+    config, poses, equivalence_maps
+):
+    weights = dbf_weights(config)
+    axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    k = np.array(
+        [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
+    )
+    rot = np.eye(3) + math.sin(0.7) * k + (1.0 - math.cos(0.7)) * (k @ k)
+    for rd in equivalence_maps:
+        pose = poses[0] if rd.view == "left" else poses[1]
+        tilted = RadarPose(
+            view=rd.view,
+            position_m=(0.05, -0.02, 0.1),
+            orientation=tuple(tuple(float(v) for v in row) for row in rot),
+        )
+        ref, ref_tilted = _reference_points(rd, (pose, tilted), config, weights)
+        cloud = extract_point_cloud(rd, pose, config, weights=weights)
+        assert [repr(p) for p in cloud.points] == [repr(p) for p in ref]
+
+        # a general rotation sums the matrix product of one point and of
+        # a stack in different orders, so positions agree to rounding
+        cloud = extract_point_cloud(rd, tilted, config, weights=weights)
+        ref = ref_tilted
+        strip = lambda p: dataclasses.replace(p, position_m=(0.0, 0.0, 0.0))
+        assert [strip(p) for p in cloud.points] == [strip(p) for p in ref]
+        gap = np.abs(
+            np.array([p.position_m for p in cloud.points])
+            - np.array([p.position_m for p in ref])
+        )
+        assert gap.max() <= 1e-12
