@@ -17,21 +17,11 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .fusion import (
-    PairedFrame,
-    assemble_feature_tensor,
-    calibrate_timestamps,
-    gate_windows,
-    merge_views,
-    offset_from_clock_sample,
-    pair_views,
-    write_feature_tensor,
-)
+from .fusion import write_feature_tensor
 from .io_files import (
     CaptureFormatError,
     load_config,
@@ -40,12 +30,18 @@ from .io_files import (
     write_cloud_ply,
     write_clouds_csv,
 )
-from .rdmap import MtiState, ProcessingOptions, process_frame, validate_options
-from .fusion import ClockOffset
+from .pipeline import (
+    PipelineError,
+    PipelineResult,  # re-exported: callers import it from mmvc.cli
+    calibrated_stream,
+    frame_chain,
+    run_pipeline,
+    score_recovery,
+)
+from .rdmap import ProcessingOptions, dump_tensor
 from .simulate import SceneFormatError, load_scene, simulate_session
-from .spatial import dbf_weights, energy_compensation, extract_point_cloud
+from .spatial import dbf_weights
 from .types import (
-    C_LIGHT,
     ConfigError,
     RadarConfig,
     default_pose_pair,
@@ -64,145 +60,6 @@ TRUTH_COLUMNS = (
     "amplitude",
     "in_fov",
 )
-
-
-class PipelineError(RuntimeError):
-    """Raised when a capture pair cannot be processed end to end."""
-
-
-@dataclasses.dataclass(frozen=True)
-class PipelineResult:
-    pairing: object
-    paired_frames: tuple
-    fused_clouds: tuple
-    windows: tuple
-    tensor: np.ndarray | None
-    report: dict
-
-
-def _zero_offset(view):
-    return ClockOffset(offset_ns=0, view=view)
-
-
-def run_pipeline(
-    left_frames,
-    right_frames,
-    config: RadarConfig,
-    poses=None,
-    options: ProcessingOptions = ProcessingOptions(),
-    *,
-    max_skew_s: float = 0.010,
-    window_len: int = 10,
-    tau_s: float | None = None,
-    label_timestamps_s=None,
-    weights: np.ndarray | None = None,
-) -> PipelineResult:
-    """Run calibration-aware fusion over two calibrated frame streams.
-
-    Both streams must already carry calibrated timestamps.  Motion
-    filtering consumes every frame in stream order so the background
-    estimate stays warm across dropped frames; the beamforming chain
-    runs only for frames that survived pairing.
-    """
-    validate_config(config)
-    validate_options(options)
-    if poses is None:
-        poses = default_pose_pair()
-    if weights is None:
-        weights = dbf_weights(config)
-
-    pairing = pair_views(left_frames, right_frames, max_skew_s=max_skew_s)
-    paired_left = {lf.frame_index for lf, _ in pairing.pairs}
-    paired_right = {rf.frame_index for _, rf in pairing.pairs}
-
-    pose_by_view = {p.view: p for p in poses}
-    timings = {}
-
-    def sweep(stream, wanted, pose):
-        clouds = {}
-        state = MtiState()
-        for frame in stream:
-            t0 = time.perf_counter()
-            rd, state = process_frame(frame, state, config, options)
-            if frame.frame_index in wanted:
-                if options.apply_compensation:
-                    rd = energy_compensation(rd)
-                clouds[frame.frame_index] = extract_point_cloud(
-                    rd, pose, config, weights=weights
-                )
-                timings.setdefault(frame.view, {})[frame.frame_index] = (
-                    time.perf_counter() - t0
-                )
-        return clouds
-
-    left_clouds = sweep(left_frames, paired_left, pose_by_view["left"])
-    right_clouds = sweep(right_frames, paired_right, pose_by_view["right"])
-
-    paired = []
-    fused = []
-    for k, (lf, rf) in enumerate(pairing.pairs):
-        lc = left_clouds[lf.frame_index]
-        rc = right_clouds[rf.frame_index]
-        paired.append(
-            PairedFrame(
-                left_timestamp_ns=lf.calibrated_timestamp_ns,
-                right_timestamp_ns=rf.calibrated_timestamp_ns,
-                left_cloud=lc,
-                right_cloud=rc,
-                index=k,
-            )
-        )
-        fused.append(merge_views(lc, rc, poses))
-
-    tau = config.tau_s if tau_s is None else tau_s
-    windows = gate_windows(
-        paired,
-        window_len=window_len,
-        tau_s=tau,
-        label_timestamps_s=label_timestamps_s,
-    )
-    accepted = tuple(w for w in windows if w.accepted)
-    tensor = assemble_feature_tensor(accepted) if accepted else None
-
-    pair_ms = [
-        (timings.get("left", {}).get(lf.frame_index, 0.0)
-         + timings.get("right", {}).get(rf.frame_index, 0.0)) * 1e3
-        for lf, rf in pairing.pairs
-    ]
-    report = {
-        "frames": {"left": len(left_frames), "right": len(right_frames)},
-        "pairs": len(pairing.pairs),
-        "pairing_rate": pairing.pairing_rate,
-        "dropped_left": pairing.dropped_left,
-        "dropped_right": pairing.dropped_right,
-        "windows_total": len(windows),
-        "windows_accepted": len(accepted),
-        "points_per_fused_frame": len(fused[0]) if fused else 0,
-        "pad_points_total": sum(c.pad_count for c in fused),
-        "degraded_frames": sum(1 for c in fused if c.degraded),
-        "stages": {
-            "mti": options.apply_mti,
-            "mti_mode": options.mti_mode,
-            "clutter_removal": options.apply_clutter_removal,
-            "compensation": options.apply_compensation,
-            "window": options.apply_window,
-        },
-        "max_skew_s": max_skew_s,
-        "window_len": window_len,
-        "tau_s": tau,
-        "timing_ms": {
-            "mean_per_frame_pair": float(np.mean(pair_ms)) if pair_ms else 0.0,
-            "max_per_frame_pair": float(np.max(pair_ms)) if pair_ms else 0.0,
-        },
-    }
-    return PipelineResult(
-        pairing=pairing,
-        paired_frames=tuple(paired),
-        fused_clouds=tuple(fused),
-        windows=windows,
-        tensor=tensor,
-        report=report,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -237,13 +94,11 @@ def _apply_config_overrides(config: RadarConfig, args) -> RadarConfig:
 
 
 def _options_from_args(args) -> ProcessingOptions:
-    return validate_options(
-        ProcessingOptions(
-            apply_mti=not getattr(args, "no_mti", False),
-            mti_mode=getattr(args, "mti_mode", "ema"),
-            apply_clutter_removal=not getattr(args, "no_clutter", False),
-            apply_compensation=not getattr(args, "no_compensation", False),
-        )
+    return ProcessingOptions(
+        apply_mti=not getattr(args, "no_mti", False),
+        mti_mode=getattr(args, "mti_mode", "ema"),
+        apply_clutter_removal=not getattr(args, "no_clutter", False),
+        apply_compensation=not getattr(args, "no_compensation", False),
     )
 
 
@@ -365,21 +220,13 @@ def _load_capture_pair(args):
     return left, right
 
 
-def _calibrated_stream(capture):
-    if capture.clock_sample is None:
-        offset = _zero_offset(capture.view)
-    else:
-        offset = offset_from_clock_sample(capture.clock_sample, capture.view)
-    return calibrate_timestamps(capture.frames, offset), offset
-
-
-def _export_clouds(out: Path, fused, fmt: str) -> None:
+def _write_clouds(clouds, fmt: str, out: Path, ply_dir: Path) -> None:
+    """out/clouds.csv, or one ply_dir/frame_NNNNNN.ply per cloud, or nothing."""
     if fmt == "csv":
-        write_clouds_csv(out / "clouds.csv", fused)
+        write_clouds_csv(out / "clouds.csv", clouds)
     elif fmt == "ply":
-        ply_dir = out / "ply"
         ply_dir.mkdir(exist_ok=True)
-        for cloud in fused:
+        for cloud in clouds:
             write_cloud_ply(ply_dir / f"frame_{cloud.frame_index:06d}.ply", cloud)
 
 
@@ -388,8 +235,8 @@ def _cmd_process(args) -> int:
     config = _apply_config_overrides(left_cap.config, args)
     options = _options_from_args(args)
 
-    left, _ = _calibrated_stream(left_cap)
-    right, _ = _calibrated_stream(right_cap)
+    left = calibrated_stream(left_cap.frames, left_cap.view, left_cap.clock_sample)
+    right = calibrated_stream(right_cap.frames, right_cap.view, right_cap.clock_sample)
     result = run_pipeline(
         left,
         right,
@@ -397,13 +244,11 @@ def _cmd_process(args) -> int:
         options=options,
         max_skew_s=args.max_skew_ms * 1e-3,
         window_len=args.window,
-        tau_s=None if args.tau_ms is None else args.tau_ms * 1e-3,
     )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.format in ("csv", "ply"):
-        _export_clouds(out, result.fused_clouds, args.format)
+    _write_clouds(result.fused_clouds, args.format, out, out / "ply")
     if result.tensor is not None:
         write_feature_tensor(out / "features.mmft", result.tensor)
     (out / "report.json").write_text(
@@ -422,39 +267,6 @@ def _cmd_process(args) -> int:
 # verify
 
 
-def _corrupted_weights(config: RadarConfig, delta_deg: float) -> np.ndarray:
-    # steering vectors built against angles shifted off the true grid
-    angles = np.asarray(config.beam_angles_rad) + np.radians(delta_deg)
-    phase = (
-        2.0
-        * np.pi
-        * (config.antenna_spacing_m / config.center_wavelength_m)
-        * np.sin(angles)
-    )
-    return np.exp(1j * np.outer(np.arange(2), phase))
-
-
-def _best_real_point(cloud):
-    best = None
-    for p in cloud.points:
-        if p.is_pad:
-            continue
-        if best is None or p.energy > best.energy:
-            best = p
-    return best
-
-
-def _truth_for_frame(session, view: str, idx: int, config: RadarConfig):
-    gates = config.gate_bounds_m
-    usable = []
-    for truth in session.truth[view][idx]:
-        if not truth.in_fov:
-            continue
-        if any(lo <= truth.range_m < hi for lo, hi in gates):
-            usable.append(truth)
-    return usable
-
-
 def _cmd_verify(args) -> int:
     scene_path = _require_file(args.scene, "scene file")
     scene = load_scene(scene_path)
@@ -463,78 +275,29 @@ def _cmd_verify(args) -> int:
     poses = default_pose_pair()
     session = simulate_session(scene, poses, config, args.duration, seed=args.seed)
 
-    weights = None
-    if args.corrupt_dbf_deg:
-        weights = _corrupted_weights(config, args.corrupt_dbf_deg)
-
-    streams = {}
-    for view in ("left", "right"):
-        offset = offset_from_clock_sample(session.clock_samples[view], view)
-        streams[view] = calibrate_timestamps(session.frames[view], offset)
-
+    left, right = (
+        calibrated_stream(session.frames[view], view, session.clock_samples[view])
+        for view in ("left", "right")
+    )
     result = run_pipeline(
-        streams["left"],
-        streams["right"],
+        left,
+        right,
         config,
         poses=poses,
         options=options,
         max_skew_s=args.max_skew_ms * 1e-3,
         window_len=args.window,
-        tau_s=None if args.tau_ms is None else args.tau_ms * 1e-3,
-        weights=weights,
+        # --corrupt-dbf-deg steers against angles shifted off the true grid
+        weights=dbf_weights(config, offset_deg=args.corrupt_dbf_deg),
     )
-
-    warmup = config.mti_history if options.apply_mti else 0
-    range_tol = config.range_resolution_m + 1e-9
-    vel_tol = config.velocity_resolution_mps + 1e-9
-    # The sweep couples range rate into the beat frequency, shifting the
-    # apparent velocity by about B*lambda/(2c) per m/s of true speed;
-    # allow for it so fast targets are judged fairly.
-    coupling = (
-        config.bandwidth_hz * config.center_wavelength_m / (2.0 * C_LIGHT)
-    )
-    angles = config.beam_angles_rad
-    beam_tol = (angles[1] - angles[0]) + 1e-9 if len(angles) > 1 else 1e-9
-
-    evaluated = 0
-    recovered = 0
-    errs = {"range": [], "velocity": [], "azimuth": [], "elevation": []}
-    for pf, cloud in zip(result.paired_frames, result.fused_clouds):
-        left_frame, _ = result.pairing.pairs[pf.index]
-        idx = left_frame.frame_index
-        if idx < warmup:
-            continue
-        point = _best_real_point(cloud)
-        candidates = _truth_for_frame(session, point.view, idx, config) if point else []
-        if point is None:
-            # nothing detected; only counts against us if truth was in reach
-            for view in ("left", "right"):
-                if _truth_for_frame(session, view, idx, config):
-                    evaluated += 1
-                    break
-            continue
-        if not candidates:
-            continue
-        evaluated += 1
-        truth = min(candidates, key=lambda t: abs(t.range_m - point.range_m))
-        dr = abs(point.range_m - truth.range_m)
-        dv = abs(point.radial_velocity_mps - truth.radial_velocity_mps)
-        daz = abs(point.azimuth_rad - truth.azimuth_rad)
-        del_ = abs(point.elevation_rad - truth.elevation_rad)
-        errs["range"].append(dr)
-        errs["velocity"].append(dv)
-        errs["azimuth"].append(daz)
-        errs["elevation"].append(del_)
-        v_tol = vel_tol + coupling * abs(truth.radial_velocity_mps)
-        if dr <= range_tol and dv <= v_tol and daz <= beam_tol and del_ <= beam_tol:
-            recovered += 1
+    evaluated, recovered, errors = score_recovery(result, session, config, options)
 
     if evaluated == 0:
         print("verify: no in-gate truth to evaluate (neutral)")
         return 0
 
     rate = recovered / evaluated
-    for axis, values in errs.items():
+    for axis, values in errors.items():
         if values:
             print(
                 f"{axis:>10}: mean {np.mean(values):.4g}  max {np.max(values):.4g}"
@@ -552,33 +315,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from .rdmap import dump_tensor
-
     capture = read_capture(_require_file(args.capture, "capture file"))
     config = _apply_config_overrides(capture.config, args)
     options = _options_from_args(args)
-    frames, _ = _calibrated_stream(capture)
-    pose = next(p for p in default_pose_pair() if p.view == capture.view)
-    weights = dbf_weights(config)
+    frames = calibrated_stream(capture.frames, capture.view, capture.clock_sample)
+    pose = None
+    if args.format != "tensor":
+        pose = next(p for p in default_pose_pair() if p.view == capture.view)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    state = MtiState()
     clouds = []
-    for frame in frames:
-        rd, state = process_frame(frame, state, config, options)
-        if options.apply_compensation:
-            rd = energy_compensation(rd)
-        if args.format == "tensor":
+    for frame, rd, cloud, _ in frame_chain(frames, config, options, pose):
+        if cloud is None:
             dump_tensor(out / f"rd_{frame.frame_index:06d}.tensor", rd.cells)
         else:
-            clouds.append(extract_point_cloud(rd, pose, config, weights=weights))
-
-    if args.format == "csv":
-        write_clouds_csv(out / "clouds.csv", clouds)
-    elif args.format == "ply":
-        for cloud in clouds:
-            write_cloud_ply(out / f"frame_{cloud.frame_index:06d}.ply", cloud)
+            clouds.append(cloud)
+    _write_clouds(clouds, args.format, out, out)
     print(f"exported {len(frames)} frames from {capture.view} capture to {out}")
     return 0
 

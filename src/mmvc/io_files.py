@@ -162,6 +162,12 @@ def read_capture(path) -> Capture:
             prev_ts = ts
             raw = _read_exact(fh, n_bytes, f"frame {k} samples")
             samples = np.frombuffer(raw, dtype="<c8").reshape(shape)
+            # One NaN would persist through the motion filter's history
+            # and spoil every frame after it.
+            if not np.isfinite(samples).all():
+                raise CaptureFormatError(
+                    f"frame {frame_index} holds non-finite samples"
+                )
             frames.append(
                 FrameCube(
                     samples=samples,

@@ -2,9 +2,8 @@
 
 Stage order is fixed: background subtraction (MTI) on raw samples,
 range FFT over the sample axis, static clutter removal on the range
-spectrum, Doppler FFT over the chirp axis. Each stage is optional via
-``ProcessingOptions`` but can never be reordered; the options
-validator rejects any other arrangement.
+spectrum, Doppler FFT over the chirp axis. ``ProcessingOptions``
+switches the optional stages on or off; it cannot reorder them.
 
 The forward FFTs are unnormalised (the 1/N factor lives on the inverse
 only) and both axes use a Hann window by default.
@@ -18,7 +17,6 @@ import numpy as np
 
 from .types import FrameCube, RadarConfig, RangeDopplerMap
 
-STAGE_ORDER = ("mti", "range_fft", "clutter", "doppler_fft")
 MTI_MODES = ("ema", "mean")
 
 # glibc mallopt parameters and the heap limits process_frame sets: the
@@ -42,27 +40,13 @@ class ProcessingOptions:
     mti_mode: str = "ema"
     apply_clutter_removal: bool = True
     apply_compensation: bool = True
-    apply_window: bool = True
-    stage_order: tuple[str, ...] = STAGE_ORDER
 
 
 def validate_options(options: ProcessingOptions) -> ProcessingOptions:
-    """Reject invalid or reordered stage configurations."""
+    """Reject an unknown motion-filter mode."""
     if options.mti_mode not in MTI_MODES:
         raise ValueError(
             f"options: mti_mode must be one of {MTI_MODES}, got {options.mti_mode!r}"
-        )
-    order = tuple(options.stage_order)
-    if order != STAGE_ORDER:
-        if set(order) == set(STAGE_ORDER) and order.index("clutter") < order.index(
-            "range_fft"
-        ):
-            raise ValueError(
-                "options: clutter removal operates on the range spectrum and "
-                "cannot precede the range FFT"
-            )
-        raise ValueError(
-            f"options: stage_order must be {STAGE_ORDER}, got {order}"
         )
     return options
 
@@ -254,13 +238,12 @@ def process_frame(
         filtered, state = mti_filter(frame, state, config, mode=options.mti_mode)
     else:
         filtered = frame
-    spectrum = range_fft(filtered, window=options.apply_window)
+    spectrum = range_fft(filtered)
     if options.apply_clutter_removal:
         spectrum = clutter_removal(spectrum)
     rd = doppler_fft(
         spectrum,
         config,
-        window=options.apply_window,
         view=frame.view,
         frame_index=frame.frame_index,
         calibrated_timestamp_ns=frame.calibrated_timestamp_ns,

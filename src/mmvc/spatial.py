@@ -111,27 +111,33 @@ def range_gate(
 
 @functools.lru_cache(maxsize=16)
 def _weights_cached(
-    spacing_m: float, wavelength_m: float, max_steer_rad: float, beam_count: int
+    spacing_m: float,
+    wavelength_m: float,
+    max_steer_rad: float,
+    beam_count: int,
+    offset_rad: float,
 ) -> np.ndarray:
-    angles = np.linspace(-max_steer_rad, max_steer_rad, beam_count)
+    angles = np.linspace(-max_steer_rad, max_steer_rad, beam_count) + offset_rad
     ant = np.arange(2)[:, None]
     w = np.exp(1j * 2.0 * np.pi * (ant * spacing_m / wavelength_m) * np.sin(angles))
     w.setflags(write=False)
     return w
 
 
-def dbf_weights(config: RadarConfig) -> np.ndarray:
+def dbf_weights(config: RadarConfig, offset_deg: float = 0.0) -> np.ndarray:
     """Steering matrix W indexed (antenna in pair, beam).
 
     W(i, b) = exp(j * 2 pi * (i * spacing / lambda) * sin(theta_b)) for
     beams uniform across [-max_steer, +max_steer]. Row 0 is the shared
-    corner antenna and is identically one.
+    corner antenna and is identically one. ``offset_deg`` shifts every
+    theta_b, steering off the grid the rest of the chain assumes.
     """
     return _weights_cached(
         config.antenna_spacing_m,
         config.center_wavelength_m,
         config.max_steer_rad,
         config.beam_count,
+        math.radians(offset_deg),
     )
 
 

@@ -369,16 +369,6 @@ class FrameCube:
     def __post_init__(self) -> None:
         _freeze_array(self, "samples", self.samples, dtype=np.complex64, ndim=3)
 
-    @property
-    def local_timestamp_s(self) -> float:
-        return ns_to_seconds(self.local_timestamp_ns)
-
-    @property
-    def calibrated_timestamp_s(self) -> float | None:
-        if self.calibrated_timestamp_ns is None:
-            return None
-        return ns_to_seconds(self.calibrated_timestamp_ns)
-
     def matches(self, config: RadarConfig) -> bool:
         return self.samples.shape == (
             config.rx_count,

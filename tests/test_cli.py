@@ -1,4 +1,5 @@
 """Command line flows: simulate, process, verify, export."""
+import dataclasses
 import json
 
 import numpy as np
@@ -6,13 +7,18 @@ import pytest
 
 from mmvc import (
     RadarConfig,
+    fusion,
     load_tensor,
+    rdmap,
     read_capture,
     read_feature_tensor,
     save_config,
+    spatial,
     write_capture,
+    write_clouds_csv,
 )
-from mmvc.cli import main, run_pipeline
+from mmvc.cli import PipelineError, main, run_pipeline
+from mmvc.pipeline import calibrated_stream
 
 MOVER_SCENE = """\
 scatterer reflectivity=0.92
@@ -257,8 +263,6 @@ def test_process_rejects_swapped_views(tmp_path, capsys):
 def test_process_rejects_config_mismatch(tmp_path, capsys):
     cap = _simulate(tmp_path, duration="0.2")
     right = read_capture(cap / "right.mmvc")
-    import dataclasses
-
     altered = dataclasses.replace(right.config, mti_alpha=0.9, mti_history=2)
     write_capture(
         cap / "right.mmvc", right.frames, altered, clock_sample=right.clock_sample
@@ -277,6 +281,77 @@ def test_process_rejects_config_mismatch(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "capture configs disagree on: mti_alpha, mti_history" in err
+
+
+def _process_argv(cap, out):
+    return [
+        "process",
+        "--left",
+        str(cap / "left.mmvc"),
+        "--right",
+        str(cap / "right.mmvc"),
+        "--out",
+        str(out),
+    ]
+
+
+def test_process_rejects_repeated_frame_indices(tmp_path, capsys):
+    cap = _simulate(tmp_path, duration="0.3")
+    left = read_capture(cap / "left.mmvc")
+    frames = tuple(dataclasses.replace(f, frame_index=0) for f in left.frames)
+    write_capture(
+        cap / "left.mmvc", frames, left.config, clock_sample=left.clock_sample
+    )
+    code = main(_process_argv(cap, tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: left stream repeats frame index 0")
+
+
+def test_process_rejects_non_finite_samples(tmp_path, capsys):
+    cap = _simulate(tmp_path, duration="0.3")
+    right = read_capture(cap / "right.mmvc")
+    samples = right.frames[2].samples.copy()
+    samples[0, 0, 0] = np.nan
+    frames = right.frames[:2] + (dataclasses.replace(right.frames[2], samples=samples),)
+    write_capture(
+        cap / "right.mmvc", frames, right.config, clock_sample=right.clock_sample
+    )
+    code = main(_process_argv(cap, tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame 2 holds non-finite samples")
+
+
+def test_process_calls_layers_through_their_modules(tmp_path, monkeypatch):
+    # wrappers set on the layer modules must see the pipeline's calls
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(rdmap, "process_frame")
+    counting(spatial, "energy_compensation")
+    counting(spatial, "extract_point_cloud")
+    counting(fusion, "pair_views")
+    counting(fusion, "merge_views")
+    counting(fusion, "gate_windows")
+    cap = _simulate(tmp_path, duration="0.3")
+    assert main(_process_argv(cap, tmp_path / "o")) == 0
+    assert calls == {
+        "process_frame": 6,
+        "energy_compensation": 6,
+        "extract_point_cloud": 6,
+        "pair_views": 1,
+        "merge_views": 3,
+        "gate_windows": 1,
+    }
 
 
 def test_process_rejects_missing_capture(tmp_path, capsys):
@@ -374,6 +449,24 @@ def test_export_csv(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 128  # 128 points per single-view frame
 
 
+def test_export_clouds_match_pipeline_clouds(tmp_path, config, poses):
+    cap = _simulate(tmp_path, scene_text=MOVER_SCENE, duration="0.5")
+    captures = [read_capture(cap / f"{view}.mmvc") for view in ("left", "right")]
+    left, right = (calibrated_stream(c.frames, c.view, c.clock_sample) for c in captures)
+    result = run_pipeline(left, right, config, poses)
+    assert result.report["pairs"] == 5
+    for view in ("left", "right"):
+        out = tmp_path / f"exp_{view}"
+        code = main(
+            ["export", "--capture", str(cap / f"{view}.mmvc"), "--out", str(out)]
+        )
+        assert code == 0
+        clouds = [getattr(pf, f"{view}_cloud") for pf in result.paired_frames]
+        write_clouds_csv(tmp_path / f"{view}.csv", clouds)
+        expected = (tmp_path / f"{view}.csv").read_text()
+        assert (out / "clouds.csv").read_text() == expected
+
+
 def test_export_tensor(tmp_path):
     cap = _simulate(tmp_path, duration="0.2")
     out = tmp_path / "exp"
@@ -452,26 +545,27 @@ def test_config_file_flows_through_simulate(tmp_path):
 # --- pipeline surface ----------------------------------------------------------
 
 
-def test_run_pipeline_counts_dropped_frames(config, poses):
+def _stream(config, times, view, indices=None):
     from mmvc import calibrate_timestamps, compute_offset
     from mmvc.types import FrameCube
 
-    shape = (3, 128, 128)
-
-    def stream(times, view):
-        frames = tuple(
-            FrameCube(
-                samples=np.zeros(shape, dtype=np.complex64),
-                view=view,
-                frame_index=i,
-                local_timestamp_ns=int(t * 1e9),
-            )
-            for i, t in enumerate(times)
+    shape = (config.rx_count, config.chirps_per_frame, config.samples_per_chirp)
+    indices = range(len(times)) if indices is None else indices
+    frames = tuple(
+        FrameCube(
+            samples=np.zeros(shape, dtype=np.complex64),
+            view=view,
+            frame_index=i,
+            local_timestamp_ns=int(t * 1e9),
         )
-        return calibrate_timestamps(frames, compute_offset(0.0, 0.0))
+        for i, t in zip(indices, times)
+    )
+    return calibrate_timestamps(frames, compute_offset(0.0, 0.0))
 
-    left = stream([0.0, 0.1, 0.2], "left")
-    right = stream([0.0, 0.1, 0.75], "right")
+
+def test_run_pipeline_counts_dropped_frames(config, poses):
+    left = _stream(config, [0.0, 0.1, 0.2], "left")
+    right = _stream(config, [0.0, 0.1, 0.75], "right")
     result = run_pipeline(left, right, config, poses=poses, window_len=2)
     assert result.report["pairs"] == 2
     assert result.report["dropped_left"] == 1
@@ -480,3 +574,17 @@ def test_run_pipeline_counts_dropped_frames(config, poses):
     assert result.tensor is not None
     assert result.tensor.shape == (1, 2, 256, 8)
     assert len(result.fused_clouds) == 2
+
+
+def test_run_pipeline_rejects_repeated_frame_index(config, poses):
+    left = _stream(config, [0.0, 0.1, 0.2], "left")
+    right = _stream(config, [0.0, 0.1, 0.2], "right", indices=[0, 1, 1])
+    with pytest.raises(PipelineError, match="right stream repeats frame index 1"):
+        run_pipeline(left, right, config, poses=poses, window_len=2)
+
+
+def test_run_pipeline_rejects_out_of_order_stream(config, poses):
+    left = _stream(config, [0.0, 0.1, 0.2], "left")[::-1]
+    right = _stream(config, [0.0, 0.1, 0.2], "right")
+    with pytest.raises(PipelineError, match="left frame 1 timestamp decreases"):
+        run_pipeline(left, right, config, poses=poses, window_len=2)

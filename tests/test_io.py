@@ -150,6 +150,18 @@ def test_read_rejects_timestamp_regression(tmp_path, config):
         read_capture(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_rejects_non_finite_samples(tmp_path, config, bad):
+    f0, f1, f2 = _frames(config, n=3)
+    samples = f1.samples.copy()
+    samples[2, 5, 7] = complex(0.5, bad)
+    frames = (f0, dataclasses.replace(f1, samples=samples), f2)
+    path = tmp_path / "x.mmvc"
+    write_capture(path, frames, config)
+    with pytest.raises(CaptureFormatError, match="frame 1 holds non-finite"):
+        read_capture(path)
+
+
 def test_read_rejects_unparseable_metadata(tmp_path, config):
     path = tmp_path / "x.mmvc"
     blob = b"not json"

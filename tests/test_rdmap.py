@@ -325,14 +325,6 @@ def test_validate_options_rejects_bad_mode():
         validate_options(ProcessingOptions(mti_mode="median"))
 
 
-def test_validate_options_rejects_reordered_stages():
-    bad = ProcessingOptions(
-        stage_order=("clutter", "mti", "range_fft", "doppler_fft")
-    )
-    with pytest.raises(ValueError, match="clutter removal"):
-        validate_options(bad)
-
-
 def test_tensor_dump_round_trip(tmp_path, config):
     rng = np.random.default_rng(8)
     arr = (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)))

@@ -210,6 +210,36 @@ def test_weight_at_30_degrees_is_quarter_turn(config):
     assert abs(w[1, b30] - 1j) < 1e-12
 
 
+def test_weights_without_offset_are_the_unshifted_grid(config):
+    # the formula before the angle offset existed, evaluated the same way
+    angles = np.linspace(-config.max_steer_rad, config.max_steer_rad, config.beam_count)
+    ant = np.arange(2)[:, None]
+    d_over_l = ant * config.antenna_spacing_m / config.center_wavelength_m
+    expected = np.exp(1j * 2.0 * np.pi * d_over_l * np.sin(angles))
+    for w in (dbf_weights(config), dbf_weights(config, offset_deg=0.0)):
+        assert w.dtype == expected.dtype and w.shape == expected.shape
+        assert w.tobytes() == expected.tobytes()
+        assert not w.flags.writeable
+    assert dbf_weights(config) is dbf_weights(config)
+
+
+@pytest.mark.parametrize("delta_deg", [9.0, -2.5, 0.3])
+def test_offset_weights_steer_off_the_grid(config, delta_deg):
+    # reference: steering vectors built against angles shifted by delta
+    angles = np.asarray(config.beam_angles_rad) + np.radians(delta_deg)
+    phase = (
+        2.0
+        * np.pi
+        * (config.antenna_spacing_m / config.center_wavelength_m)
+        * np.sin(angles)
+    )
+    reference = np.exp(1j * np.outer(np.arange(2), phase))
+    w = dbf_weights(config, offset_deg=delta_deg)
+    assert w.shape == reference.shape
+    assert np.max(np.abs(w - reference)) < 1e-12
+    assert np.max(np.abs(w - dbf_weights(config))) > 1e-3
+
+
 def _steered_cells(config, az_rad, el_rad, r=11, d=70, amp=1.0):
     cells = np.zeros((64, 128, 3), dtype=complex)
     phase = 2.0 * np.pi * config.antenna_spacing_m / config.center_wavelength_m
