@@ -9,19 +9,13 @@ two views' fixed-budget clouds and export as a dense feature tensor.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .types import (
-    FrameCube,
-    GATE_TAGS,
-    PointCloud,
-    VIEWS,
-    ns_to_seconds,
-    seconds_to_ns,
-)
+from .types import FrameCube, PointCloud, ns_to_seconds, seconds_to_ns
 
 TENSOR_MAGIC = b"MMFT"
 TENSOR_VERSION = 1
@@ -264,41 +258,21 @@ def merge_views(
     degraded = (len(left) > 0 and left.pad_count >= len(left)) or (
         len(right) > 0 and right.pad_count >= len(right)
     )
-    return PointCloud(
-        points=left.points + right.points,
+    return PointCloud.concat(
+        (left, right),
         view=None,
         frame_index=left.frame_index,
         timestamp_ns=ts,
-        pad_count=left.pad_count + right.pad_count,
         degraded=degraded,
     )
 
 
-def _gate_flag(tag: str) -> float:
-    if tag in GATE_TAGS:
-        return float(GATE_TAGS.index(tag))
-    if tag.startswith("gate"):
-        return float(int(tag[4:]))
-    raise ValueError(f"unknown gate tag {tag!r}")
-
-
-def _view_flag(tag: str) -> float:
-    if tag in VIEWS:
-        return float(VIEWS.index(tag))
-    raise ValueError(f"unknown view tag {tag!r}")
-
-
 def cloud_feature_rows(cloud: PointCloud) -> np.ndarray:
     """(N, 8) float32 rows: x, y, z, velocity, energy, range, view, gate."""
-    rows = np.zeros((len(cloud), len(FEATURE_NAMES)), dtype=np.float32)
-    for k, p in enumerate(cloud.points):
-        rows[k, 0:3] = p.position_m
-        rows[k, 3] = p.radial_velocity_mps
-        rows[k, 4] = p.energy
-        rows[k, 5] = p.range_m
-        rows[k, 6] = _view_flag(p.view)
-        rows[k, 7] = _gate_flag(p.gate)
-    return rows
+    return np.column_stack((
+        cloud.positions_m, cloud.velocities_mps, cloud.energies, cloud.ranges_m,
+        cloud.view_codes, cloud.gate_codes,
+    )).astype(np.float32)
 
 
 def assemble_feature_tensor(windows) -> np.ndarray:
@@ -340,31 +314,36 @@ def assemble_feature_tensor(windows) -> np.ndarray:
 # feature tensor file: magic, version, shape, little-endian float32 rows
 # ---------------------------------------------------------------------------
 
+_TENSOR_HEADER = struct.Struct("<4sI4I")  # magic, version, four dims
+
 
 def write_feature_tensor(path, tensor: np.ndarray) -> None:
     arr = np.ascontiguousarray(tensor, dtype="<f4")
     if arr.ndim != 4:
         raise ValueError(f"feature tensor must be 4-D, got shape {arr.shape}")
     with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<I", TENSOR_VERSION))
-        fh.write(struct.pack("<4I", *arr.shape))
+        fh.write(_TENSOR_HEADER.pack(TENSOR_MAGIC, TENSOR_VERSION, *arr.shape))
         fh.write(arr.tobytes())
 
 
 def read_feature_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != TENSOR_MAGIC:
-            raise TensorFormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != TENSOR_VERSION:
-            raise TensorFormatError(f"unsupported tensor version {version}")
-        shape = struct.unpack("<4I", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    expected = int(np.prod(shape))
-    if data.size != expected:
+        blob = fh.read()
+    if blob[:4] != TENSOR_MAGIC:
+        raise TensorFormatError(f"bad magic {blob[:4]!r}, expected {TENSOR_MAGIC!r}")
+    if len(blob) < _TENSOR_HEADER.size:
         raise TensorFormatError(
-            f"payload holds {data.size} floats, shape {shape} needs {expected}"
+            f"truncated tensor header: {len(blob)} bytes, need {_TENSOR_HEADER.size}"
         )
-    return data.reshape(shape).astype(np.float32)
+    _, version, *shape = _TENSOR_HEADER.unpack_from(blob)
+    if version != TENSOR_VERSION:
+        raise TensorFormatError(f"unsupported tensor version {version}")
+    shape = tuple(shape)
+    # math.prod: numpy's int64 product wraps to 0 for four 2**16 dims
+    expected = math.prod(shape)
+    payload = memoryview(blob)[_TENSOR_HEADER.size :]
+    if len(payload) != 4 * expected:
+        raise TensorFormatError(
+            f"payload holds {len(payload)} bytes, shape {shape} needs {4 * expected}"
+        )
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)

@@ -28,6 +28,7 @@ from .types import (
     PointCloud,
     RadarConfig,
     VIEWS,
+    gate_tag,
     validate_config,
 )
 
@@ -223,24 +224,16 @@ def write_clouds_csv(path, clouds) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for cloud in clouds:
             t = cloud.timestamp_s
-            t_text = repr(t) if t is not None else ""
-            for p in cloud.points:
-                x, y, z = p.position_m
-                row = (
-                    str(cloud.frame_index),
-                    t_text,
-                    p.view,
-                    p.gate,
-                    repr(x),
-                    repr(y),
-                    repr(z),
-                    repr(p.radial_velocity_mps),
-                    repr(p.energy),
-                    repr(p.range_m),
-                    repr(p.azimuth_rad),
-                    repr(p.elevation_rad),
-                )
-                fh.write(",".join(row) + "\n")
+            lead = f"{cloud.frame_index},{repr(t) if t is not None else ''}"
+            gate_tags = [gate_tag(g) for g in range(cloud.gate_codes.max(initial=-1) + 1)]
+            values = np.column_stack((
+                cloud.positions_m, cloud.velocities_mps, cloud.energies,
+                cloud.ranges_m, cloud.azimuths_rad, cloud.elevations_rad,
+            ))
+            views = [VIEWS[v] for v in cloud.view_codes.tolist()]
+            gates = [gate_tags[g] for g in cloud.gate_codes.tolist()]
+            for view, gate, row in zip(views, gates, values.tolist()):
+                fh.write(f"{lead},{view},{gate},{','.join(map(repr, row))}\n")
 
 
 PLY_PROPERTIES = ("x", "y", "z", "velocity", "energy")
@@ -252,10 +245,7 @@ def write_cloud_ply(path, cloud: PointCloud) -> None:
     header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}"]
     header += [f"property float {name}" for name in PLY_PROPERTIES]
     header.append("end_header")
+    vertices = np.column_stack((cloud.positions_m, cloud.velocities_mps, cloud.energies))
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for p in cloud.points:
-            x, y, z = p.position_m
-            fh.write(
-                struct.pack("<5f", x, y, z, p.radial_velocity_mps, p.energy)
-            )
+        fh.write(vertices.astype("<f4").tobytes())

@@ -236,23 +236,24 @@ def score_recovery(
         idx = left_frame.frame_index
         if idx < warmup:
             continue
-        # strongest real (non-pad) point; max keeps the first of equals
-        real = (p for p in cloud.points if not p.is_pad)
-        point = max(real, key=lambda p: p.energy, default=None)
-        if point is None:
+        # strongest real (non-pad) point; argmax keeps the first of equals
+        real = np.flatnonzero(~cloud.is_pad)
+        if real.size == 0:
             # nothing detected; only counts against us if truth was in reach
             if any(_truth_for_frame(session, v, idx, config) for v in VIEWS):
                 evaluated += 1
             continue
-        candidates = _truth_for_frame(session, point.view, idx, config)
+        k = real[np.argmax(cloud.energies[real])]
+        range_m = float(cloud.ranges_m[k])
+        candidates = _truth_for_frame(session, VIEWS[cloud.view_codes[k]], idx, config)
         if not candidates:
             continue
         evaluated += 1
-        truth = min(candidates, key=lambda t: abs(t.range_m - point.range_m))
-        dr = abs(point.range_m - truth.range_m)
-        dv = abs(point.radial_velocity_mps - truth.radial_velocity_mps)
-        daz = abs(point.azimuth_rad - truth.azimuth_rad)
-        del_ = abs(point.elevation_rad - truth.elevation_rad)
+        truth = min(candidates, key=lambda t: abs(t.range_m - range_m))
+        dr = abs(range_m - truth.range_m)
+        dv = abs(float(cloud.velocities_mps[k]) - truth.radial_velocity_mps)
+        daz = abs(float(cloud.azimuths_rad[k]) - truth.azimuth_rad)
+        del_ = abs(float(cloud.elevations_rad[k]) - truth.elevation_rad)
         for axis, err in zip(errs, (dr, dv, daz, del_)):
             errs[axis].append(err)
         v_tol = vel_tol + coupling * abs(truth.radial_velocity_mps)

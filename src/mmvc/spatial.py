@@ -21,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import (
+    VIEWS,
     BeamGrid,
     PointCloud,
     RadarConfig,
-    RadarPoint,
     RadarPose,
     RangeDopplerMap,
     gate_tag,
-    sentinel_point,
 )
 
 # Slack on the field-of-view bound, so beams computed at exactly
@@ -389,56 +388,45 @@ def extract_point_cloud(
 ) -> PointCloud:
     """Full spatial chain for one view: gates, beams, detection, budget.
 
-    Returns exactly ``2 * point_budget`` points per configured gate,
-    padding under-populated gates (all-zero sentinels if a gate had no
-    detections at all). Point positions are head-frame coordinates via
+    Returns exactly ``2 * point_budget`` rows per configured gate, in
+    gate order. An under-populated gate's trailing rows are pads that
+    repeat its strongest candidate; a gate with no detections at all
+    gets all-zero pad rows. Positions are head-frame coordinates via
     ``pose``; velocities, ranges and angles stay sensor-relative.
     """
+    if rd.view not in VIEWS:
+        raise ValueError(f"unknown view tag {rd.view!r}")
+    view_code = VIEWS.index(rd.view)
     if weights is None:
         weights = dbf_weights(config)
-    points: list[RadarPoint] = []
-    pad_total = 0
+    n = 2 * config.point_budget
+    blocks = []
     for i, bounds in enumerate(config.gate_bounds_m):
-        tag = gate_tag(i)
-        gated = range_gate(rd, bounds, tag)
+        gated = range_gate(rd, bounds, gate_tag(i))
         grid = beamform(gated, weights, config)
-        cands = detect_points(grid, config)
-        selected, pad_count = select_by_velocity(cands, config)
-        pad_total += pad_count
-        if len(selected) == 0:
-            points.extend(
-                sentinel_point(rd.view, tag) for _ in range(2 * config.point_budget)
+        selected, pad_count = select_by_velocity(detect_points(grid, config), config)
+        if len(selected):
+            positions = _project_candidates(selected, pose, config)
+            measured = (
+                selected.velocities_mps, selected.energies, selected.ranges_m,
+                selected.azimuths_rad, selected.elevations_rad,
             )
-            continue
-        n_real = len(selected) - pad_count
-        positions = _project_candidates(selected, pose, config)
-        columns = zip(
-            positions.tolist(),
-            selected.velocities_mps.tolist(),
-            selected.energies.tolist(),
-            selected.ranges_m.tolist(),
-            selected.azimuths_rad.tolist(),
-            selected.elevations_rad.tolist(),
+        else:  # no detections: all-zero pad rows
+            positions, measured = np.zeros((n, 3)), (np.zeros(n),) * 5
+        blocks.append(
+            PointCloud(
+                positions,
+                *measured,
+                view_codes=np.full(n, view_code),
+                gate_codes=np.full(n, i),
+                is_pad=np.arange(n) >= n - pad_count,
+                view=rd.view,
+                frame_index=rd.frame_index,
+            )
         )
-        for k, (position, velocity, energy, range_m, az, el) in enumerate(columns):
-            points.append(
-                RadarPoint(
-                    position_m=tuple(position),
-                    radial_velocity_mps=velocity,
-                    energy=energy,
-                    range_m=range_m,
-                    azimuth_rad=az,
-                    elevation_rad=el,
-                    view=rd.view,
-                    gate=tag,
-                    is_pad=k >= n_real,
-                )
-            )
-    return PointCloud(
-        points=tuple(points),
+    return PointCloud.concat(
+        blocks,
         view=rd.view,
         frame_index=rd.frame_index,
         timestamp_ns=rd.calibrated_timestamp_ns,
-        pad_count=pad_total,
-        degraded=False,
     )

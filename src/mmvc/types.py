@@ -100,7 +100,13 @@ class RadarConfig:
     def __post_init__(self) -> None:
         # Normalise gate bounds to nested tuples so the config stays
         # hashable regardless of how the caller spelled them.
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.gate_bounds_m)
+        try:
+            bounds = tuple((float(lo), float(hi)) for lo, hi in self.gate_bounds_m)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"gate_bounds_m: each gate must be a (low, high) pair of numbers, "
+                f"got {self.gate_bounds_m!r}"
+            ) from None
         object.__setattr__(self, "gate_bounds_m", bounds)
         if self.antenna_spacing_m is None:
             object.__setattr__(
@@ -177,12 +183,7 @@ class RadarConfig:
             raise ConfigError(
                 "unknown config keys: " + ", ".join(unknown)
             )
-        kwargs = dict(data)
-        if "gate_bounds_m" in kwargs:
-            kwargs["gate_bounds_m"] = tuple(
-                (float(lo), float(hi)) for lo, hi in kwargs["gate_bounds_m"]
-            )
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -473,62 +474,86 @@ class BeamGrid:
         return self.azimuth_magnitudes.shape[1] // 2
 
 
-@dataclass(frozen=True)
-class RadarPoint:
-    """One detected point, already projected into the head frame."""
-
-    position_m: tuple[float, float, float]
-    radial_velocity_mps: float
-    energy: float
-    range_m: float
-    azimuth_rad: float
-    elevation_rad: float
-    view: str
-    gate: str
-    is_pad: bool = False
-
-
-# All-zero stand-in emitted when a (view, gate) produced no candidates.
-def sentinel_point(view: str, gate: str) -> RadarPoint:
-    return RadarPoint(
-        position_m=(0.0, 0.0, 0.0),
-        radial_velocity_mps=0.0,
-        energy=0.0,
-        range_m=0.0,
-        azimuth_rad=0.0,
-        elevation_rad=0.0,
-        view=view,
-        gate=gate,
-        is_pad=True,
-    )
+# (name, dtype) of each per-point column of a PointCloud, in field order.
+_CLOUD_COLUMNS = (
+    ("positions_m", float),
+    ("velocities_mps", float),
+    ("energies", float),
+    ("ranges_m", float),
+    ("azimuths_rad", float),
+    ("elevations_rad", float),
+    ("view_codes", int),
+    ("gate_codes", int),
+    ("is_pad", bool),
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Fixed-budget point set for one frame (single view or fused)."""
+    """Fixed-budget point set for one frame (single view or fused).
 
-    points: tuple[RadarPoint, ...]
+    One read-only array per quantity; row k of every column is point k.
+    ``positions_m`` is (N, 3) in the head frame; velocities, ranges and
+    angles stay sensor-relative. ``view_codes`` index ``VIEWS``,
+    ``gate_codes`` index ``RadarConfig.gate_bounds_m`` and ``is_pad``
+    marks rows that stand in for missing detections.
+    """
+
+    positions_m: np.ndarray
+    velocities_mps: np.ndarray
+    energies: np.ndarray
+    ranges_m: np.ndarray
+    azimuths_rad: np.ndarray
+    elevations_rad: np.ndarray
+    view_codes: np.ndarray
+    gate_codes: np.ndarray
+    is_pad: np.ndarray
     view: str | None
     frame_index: int
     timestamp_ns: int | None = None
-    pad_count: int = 0
     degraded: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
+        positions = _freeze_array(self, "positions_m", self.positions_m, float, ndim=2)
+        if positions.shape[1] != 3:
+            raise ValueError(f"positions_m must be (N, 3), got shape {positions.shape}")
+        for name, dtype in _CLOUD_COLUMNS[1:]:
+            column = _freeze_array(self, name, getattr(self, name), dtype, ndim=1)
+            if len(column) != len(positions):
+                raise ValueError(
+                    f"{name} holds {len(column)} rows, positions_m {len(positions)}"
+                )
+        views, gates = self.view_codes, self.gate_codes
+        if np.any(views < 0) or np.any(views >= len(VIEWS)) or np.any(gates < 0):
+            raise ValueError(
+                "view codes must index VIEWS and gate codes be non-negative"
+            )
+
+    @classmethod
+    def concat(cls, parts, **scalars) -> "PointCloud":
+        """One cloud holding the rows of ``parts`` in order, with the
+        scalar fields (view, frame_index, ...) given by ``scalars``."""
+        columns = {
+            name: np.concatenate([getattr(p, name) for p in parts])
+            for name, _ in _CLOUD_COLUMNS
+        }
+        return cls(**columns, **scalars)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.is_pad)
 
-    def count(self, view: str | None = None, gate: str | None = None) -> int:
-        n = 0
-        for p in self.points:
-            if view is not None and p.view != view:
-                continue
-            if gate is not None and p.gate != gate:
-                continue
-            n += 1
-        return n
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointCloud):
+            return NotImplemented
+        scalars = ("view", "frame_index", "timestamp_ns", "degraded")
+        return all(getattr(self, n) == getattr(other, n) for n in scalars) and all(
+            np.array_equal(getattr(self, n), getattr(other, n))
+            for n, _ in _CLOUD_COLUMNS
+        )
+
+    @property
+    def pad_count(self) -> int:
+        return int(np.count_nonzero(self.is_pad))
 
     @property
     def timestamp_s(self) -> float | None:

@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mmvc import RadarConfig, default_pose_pair, validate_config
+
+# Property tests draw the same examples on every run, keep no example
+# database and have no per-example time limit, so the suite neither
+# changes from run to run nor fails on a slow host.
+settings.register_profile("mmvc", derandomize=True, database=None, deadline=None)
+settings.load_profile("mmvc")
+
+# PointCloud's per-point columns in field order, spelled out here so the
+# tests check the layout instead of reading it from the library.
+CLOUD_COLUMNS = (
+    "positions_m",
+    "velocities_mps",
+    "energies",
+    "ranges_m",
+    "azimuths_rad",
+    "elevations_rad",
+    "view_codes",
+    "gate_codes",
+    "is_pad",
+)
 
 # PASS/FAIL verdict lines collected by the acceptance tests; echoed at the
 # end of the run so a plain ``pytest -v`` shows them without ``-s``.

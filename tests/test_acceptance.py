@@ -19,7 +19,6 @@ from mmvc import (
     PairedFrame,
     PointCloud,
     ProcessingOptions,
-    RadarPoint,
     RangeDopplerMap,
     ScatterScene,
     Scatterer,
@@ -36,7 +35,6 @@ from mmvc import (
     process_frame,
     read_capture,
     read_feature_tensor,
-    sentinel_point,
     simulate_session,
     write_capture,
     write_cloud_ply,
@@ -44,7 +42,7 @@ from mmvc import (
     write_feature_tensor,
 )
 from mmvc.cli import run_pipeline
-from mmvc.types import FrameCube, seconds_to_ns
+from mmvc.types import VIEWS, FrameCube, gate_tag, seconds_to_ns
 
 
 def _verdict(num, name, ok, detail):
@@ -160,26 +158,28 @@ def test_criterion_2_randomized_recovery(config, poses):
             fused = merge_views(clouds[f]["left"], clouds[f]["right"])
             evaluated += 1
             best = None
-            for p in fused.points:
-                if not p.is_pad and (best is None or p.energy > best.energy):
-                    best = p
+            energies = fused.energies.tolist()
+            for k, pad in enumerate(fused.is_pad.tolist()):
+                if not pad and (best is None or energies[k] > energies[best]):
+                    best = k
             if best is None:
                 continue
+            range_m = fused.ranges_m[best]
             truths = [
                 t
-                for t in session.truth[best.view][f]
+                for t in session.truth[VIEWS[fused.view_codes[best]]][f]
                 if t.in_fov
                 and any(lo <= t.range_m < hi for lo, hi in config.gate_bounds_m)
             ]
             if not truths:
                 continue
-            near = min(truths, key=lambda t: abs(t.range_m - best.range_m))
+            near = min(truths, key=lambda t: abs(t.range_m - range_m))
             if (
-                abs(best.range_m - near.range_m) <= tol_r
-                and abs(best.radial_velocity_mps - near.radial_velocity_mps)
+                abs(range_m - near.range_m) <= tol_r
+                and abs(fused.velocities_mps[best] - near.radial_velocity_mps)
                 <= tol_v
-                and abs(best.azimuth_rad - near.azimuth_rad) <= tol_b
-                and abs(best.elevation_rad - near.elevation_rad) <= tol_b
+                and abs(fused.azimuths_rad[best] - near.azimuth_rad) <= tol_b
+                and abs(fused.elevations_rad[best] - near.elevation_rad) <= tol_b
             ):
                 recovered += 1
 
@@ -343,7 +343,11 @@ def test_criterion_5_point_budget(config, poses):
         len(cloud) == budget for cloud in runs[0].fused_clouds
     )
     groups_ok = all(
-        Counter((p.view, p.gate) for p in cloud.points) == expected_groups
+        Counter(
+            (VIEWS[v], gate_tag(g))
+            for v, g in zip(cloud.view_codes.tolist(), cloud.gate_codes.tolist())
+        )
+        == expected_groups
         for cloud in runs[0].fused_clouds
     )
     repeat_ok = runs[0].fused_clouds == runs[1].fused_clouds
@@ -491,25 +495,20 @@ def test_criterion_8_persistence(config, tmp_path):
     back = read_feature_tensor(tensor_path)
     tensor_ok = back.dtype == np.float32 and back.tobytes() == tensor.tobytes()
 
+    # a real right/upper point and an all-zero right/lower pad row
     cloud = PointCloud(
-        points=(
-            RadarPoint(
-                position_m=(0.1, -0.8, 0.05),
-                radial_velocity_mps=0.4,
-                energy=2.0,
-                range_m=0.9,
-                azimuth_rad=0.1,
-                elevation_rad=-0.05,
-                view="right",
-                gate="upper",
-                is_pad=False,
-            ),
-            sentinel_point("right", "lower"),
-        ),
+        positions_m=[(0.1, -0.8, 0.05), (0.0, 0.0, 0.0)],
+        velocities_mps=[0.4, 0.0],
+        energies=[2.0, 0.0],
+        ranges_m=[0.9, 0.0],
+        azimuths_rad=[0.1, 0.0],
+        elevations_rad=[-0.05, 0.0],
+        view_codes=[1, 1],
+        gate_codes=[0, 1],
+        is_pad=[False, True],
         view="right",
         frame_index=0,
         timestamp_ns=40_000_000,
-        pad_count=1,
     )
     csv_path = tmp_path / "out.csv"
     write_clouds_csv(csv_path, [cloud])

@@ -1,6 +1,7 @@
 """Command line flows: simulate, process, verify, export."""
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -321,6 +322,30 @@ def test_process_rejects_non_finite_samples(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: frame 2 holds non-finite samples")
+
+
+def _embed_gates(path, gates):
+    """Rewrite a capture's embedded config to hold ``gates`` as its gate bounds."""
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", data, 9)
+    meta = json.loads(data[13 : 13 + meta_len])
+    meta["config"]["gate_bounds_m"] = gates
+    blob = json.dumps(meta).encode("utf-8")
+    rest = data[13 + meta_len :]
+    path.write_bytes(data[:9] + struct.pack("<I", len(blob)) + blob + rest)
+
+
+@pytest.mark.parametrize("gates", [[[0.3]], [["x", 1.0]], [[0.3, 0.9], 5]])
+def test_commands_reject_malformed_embedded_gates(tmp_path, capsys, gates):
+    cap = _simulate(tmp_path, duration="0.2")
+    for view in ("left", "right"):
+        _embed_gates(cap / f"{view}.mmvc", gates)
+    export = ["export", "--capture", str(cap / "left.mmvc"), "--out", str(tmp_path / "e")]
+    for argv in (_process_argv(cap, tmp_path / "o"), export):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: bad embedded config: gate_bounds_m:")
 
 
 def test_process_calls_layers_through_their_modules(tmp_path, monkeypatch):

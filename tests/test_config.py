@@ -179,23 +179,6 @@ def test_range_of_bin(config):
     assert rd.range_of_bin(63) == pytest.approx(3.15)
 
 
-def test_sentinel_point():
-    p = mmvc.sentinel_point("left", "upper")
-    assert p.is_pad
-    assert p.position_m == (0.0, 0.0, 0.0)
-    assert p.energy == 0.0 and p.range_m == 0.0
-
-
-def test_point_cloud_counts():
-    pts = [mmvc.sentinel_point("left", "upper") for _ in range(3)]
-    pts += [mmvc.sentinel_point("left", "lower") for _ in range(2)]
-    cloud = mmvc.PointCloud(points=tuple(pts), view="left", frame_index=0, timestamp_ns=None)
-    assert len(cloud) == 5
-    assert cloud.count(gate="upper") == 3
-    assert cloud.count(gate="lower") == 2
-    assert cloud.count(view="left") == 5
-
-
 # --- trajectories ----------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 """Clock calibration, pairing, window gating, fusion, feature tensors."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from mmvc import (
     AlignedWindow,
     PairedFrame,
     PointCloud,
-    RadarPoint,
     TensorFormatError,
     assemble_feature_tensor,
     calibrate_timestamps,
@@ -17,10 +18,9 @@ from mmvc import (
     offset_from_clock_sample,
     pair_views,
     read_feature_tensor,
-    sentinel_point,
     write_feature_tensor,
 )
-from mmvc.types import FrameCube, seconds_to_ns
+from mmvc.types import VIEWS, FrameCube, seconds_to_ns
 
 EMPTY = np.zeros((3, 2, 2), dtype=np.complex64)
 
@@ -44,29 +44,27 @@ def _stream(times_s, view="left", offset_s=0.0):
     return calibrate_timestamps(frames, compute_offset(0.0, -offset_s))
 
 
-def _point(view="left", gate="upper", energy=1.0, v=0.0, pad=False):
-    return RadarPoint(
-        position_m=(0.1, -0.8, 0.05),
-        radial_velocity_mps=v,
-        energy=energy,
-        range_m=0.9,
-        azimuth_rad=0.1,
-        elevation_rad=-0.05,
-        view=view,
-        gate=gate,
-        is_pad=pad,
-    )
-
-
 def _cloud(view="left", n=4, ts=0, pad_count=0):
-    pts = tuple(
-        _point(view=view, gate="upper" if k % 2 == 0 else "lower", energy=1.0 + k)
-        for k in range(n - pad_count)
-    ) + tuple(
-        sentinel_point(view, "lower") for _ in range(pad_count)
-    )
+    """n rows alternating upper/lower gate with energies 1, 2, ...; the
+    last ``pad_count`` rows are all-zero lower-gate pads."""
+    pad = np.arange(n) >= n - pad_count
+
+    def real(value):
+        return np.where(pad, 0.0, value)
+
     return PointCloud(
-        points=pts, view=view, frame_index=0, timestamp_ns=ts, pad_count=pad_count
+        positions_m=np.where(pad[:, None], 0.0, [0.1, -0.8, 0.05]),
+        velocities_mps=np.zeros(n),
+        energies=real(1.0 + np.arange(n)),
+        ranges_m=real(0.9),
+        azimuths_rad=real(0.1),
+        elevations_rad=real(-0.05),
+        view_codes=np.full(n, VIEWS.index(view)),
+        gate_codes=np.where(pad, 1, np.arange(n) % 2),
+        is_pad=pad,
+        view=view,
+        frame_index=0,
+        timestamp_ns=ts,
     )
 
 
@@ -294,7 +292,7 @@ def test_window_rejects_empty_label_list():
 def test_merge_concatenates_left_first():
     fused = merge_views(_cloud("left", ts=100), _cloud("right", ts=200))
     assert len(fused) == 8
-    assert [p.view for p in fused.points] == ["left"] * 4 + ["right"] * 4
+    assert fused.view_codes.tolist() == [0] * 4 + [1] * 4
     assert fused.view is None
     assert fused.timestamp_ns == 150
 
@@ -315,12 +313,7 @@ def test_merge_flags_degraded_when_one_view_is_all_padding():
 
 def test_merge_checks_views_against_poses(poses):
     top = _cloud("left")
-    bad = PointCloud(
-        points=tuple(_point(view="top") for _ in range(4)),
-        view="top",
-        frame_index=0,
-        timestamp_ns=0,
-    )
+    bad = dataclasses.replace(_cloud("right"), view="top")
     with pytest.raises(ValueError, match="cloud view 'top' has no matching pose"):
         merge_views(top, bad, poses=poses)
     merge_views(_cloud("left"), _cloud("right"), poses=poses)
@@ -331,10 +324,15 @@ def test_merge_checks_views_against_poses(poses):
 
 def test_feature_rows_encode_views_and_gates():
     cloud = PointCloud(
-        points=(
-            _point(view="left", gate="upper", energy=2.5, v=-0.3),
-            _point(view="right", gate="lower", energy=1.5, v=0.4),
-        ),
+        positions_m=[[0.1, -0.8, 0.05]] * 2,
+        velocities_mps=[-0.3, 0.4],
+        energies=[2.5, 1.5],
+        ranges_m=[0.9, 0.9],
+        azimuths_rad=[0.1, 0.1],
+        elevations_rad=[-0.05, -0.05],
+        view_codes=[0, 1],
+        gate_codes=[0, 1],
+        is_pad=[False, False],
         view=None,
         frame_index=0,
         timestamp_ns=0,
@@ -349,17 +347,27 @@ def test_feature_rows_encode_views_and_gates():
     assert rows[1, 7] == 1.0  # lower gate
 
 
-def test_feature_rows_reject_unknown_tags():
-    bad_view = PointCloud(
-        points=(_point(view="top"),), view=None, frame_index=0, timestamp_ns=0
-    )
-    with pytest.raises(ValueError, match="unknown view tag"):
-        cloud_feature_rows(bad_view)
-    bad_gate = PointCloud(
-        points=(_point(gate="mid"),), view=None, frame_index=0, timestamp_ns=0
-    )
-    with pytest.raises(ValueError, match="unknown gate tag"):
-        cloud_feature_rows(bad_gate)
+def test_point_cloud_rejects_ragged_columns():
+    cloud = _cloud("left", n=4)
+    with pytest.raises(ValueError, match="energies holds 3 rows, positions_m 4"):
+        dataclasses.replace(cloud, energies=cloud.energies[:3])
+    with pytest.raises(ValueError, match="must be \\(N, 3\\)"):
+        dataclasses.replace(cloud, positions_m=cloud.positions_m[:, :2])
+
+
+def test_point_cloud_rejects_codes_out_of_range():
+    cloud = _cloud("left", n=2)
+    bad = ({"view_codes": [0, 2]}, {"view_codes": [-1, 0]}, {"gate_codes": [0, -1]})
+    for codes in bad:
+        with pytest.raises(ValueError, match="view codes must index VIEWS"):
+            dataclasses.replace(cloud, **codes)
+
+
+def test_point_cloud_columns_are_read_only():
+    cloud = _cloud("left", n=4, pad_count=1)
+    assert cloud.pad_count == 1
+    with pytest.raises(ValueError):
+        cloud.energies[0] = 9.0
 
 
 def _window_of(n_frames, n=4, accepted=True, start=0):
@@ -446,6 +454,27 @@ def test_tensor_file_rejects_truncated_payload(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(TensorFormatError, match="payload holds"):
+        read_feature_tensor(path)
+
+
+def test_tensor_file_rejects_every_cut(tmp_path):
+    path = tmp_path / "small.mmft"
+    write_feature_tensor(path, np.arange(12, dtype=np.float32).reshape(1, 2, 3, 2))
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(TensorFormatError):
+            read_feature_tensor(path)
+
+
+def test_tensor_file_rejects_shape_whose_size_overflows_int64(tmp_path):
+    import struct
+
+    # 2**64 floats: an int64 product of the dims wraps to 0, matching
+    # the empty payload
+    path = tmp_path / "huge.mmft"
+    path.write_bytes(b"MMFT" + struct.pack("<I", 1) + struct.pack("<4I", *[65536] * 4))
+    with pytest.raises(TensorFormatError, match="payload holds 0 bytes"):
         read_feature_tensor(path)
 
 

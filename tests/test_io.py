@@ -11,7 +11,6 @@ from mmvc import (
     ConfigError,
     PointCloud,
     RadarConfig,
-    RadarPoint,
     load_config,
     read_capture,
     save_config,
@@ -225,6 +224,14 @@ def test_config_file_rejects_invalid_values(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("entry", ["[[0.3]]", '[["x", 1.0]]', "[[0.3, 0.9, 1.5]]", "[7]"])
+def test_config_file_rejects_malformed_gate_entries(tmp_path, entry):
+    path = tmp_path / "radar.yaml"
+    path.write_text(f"gate_bounds_m: {entry}\n")
+    with pytest.raises(ConfigError, match="gate_bounds_m: each gate must be"):
+        load_config(path)
+
+
 def test_config_file_rejects_non_mapping(tmp_path):
     path = tmp_path / "radar.yaml"
     path.write_text("- just\n- a\n- list\n")
@@ -242,31 +249,20 @@ def test_empty_config_file_gives_defaults(tmp_path):
 
 
 def _cloud(ts_ns=40_000_000):
-    points = (
-        RadarPoint(
-            position_m=(0.1, -0.85, 0.02),
-            radial_velocity_mps=-0.25,
-            energy=3.5,
-            range_m=0.9,
-            azimuth_rad=0.1,
-            elevation_rad=-0.02,
-            view="left",
-            gate="upper",
-        ),
-        RadarPoint(
-            position_m=(-0.2, -1.1, 0.0),
-            radial_velocity_mps=0.5,
-            energy=1.25,
-            range_m=1.2,
-            azimuth_rad=-0.3,
-            elevation_rad=0.05,
-            view="right",
-            gate="lower",
-            is_pad=True,
-        ),
-    )
+    # a real left/upper point, then a right/lower pad row
     return PointCloud(
-        points=points, view=None, frame_index=2, timestamp_ns=ts_ns, pad_count=1
+        positions_m=[(0.1, -0.85, 0.02), (-0.2, -1.1, 0.0)],
+        velocities_mps=[-0.25, 0.5],
+        energies=[3.5, 1.25],
+        ranges_m=[0.9, 1.2],
+        azimuths_rad=[0.1, -0.3],
+        elevations_rad=[-0.02, 0.05],
+        view_codes=[0, 1],
+        gate_codes=[0, 1],
+        is_pad=[False, True],
+        view=None,
+        frame_index=2,
+        timestamp_ns=ts_ns,
     )
 
 
@@ -331,7 +327,10 @@ def test_ply_header_and_payload(tmp_path):
 
 def test_ply_of_empty_cloud(tmp_path):
     path = tmp_path / "empty.ply"
-    cloud = PointCloud(points=(), view=None, frame_index=0, timestamp_ns=0)
+    z = np.zeros(0)
+    cloud = PointCloud(
+        np.zeros((0, 3)), z, z, z, z, z, z, z, z, view=None, frame_index=0, timestamp_ns=0
+    )
     write_cloud_ply(path, cloud)
     blob = path.read_bytes()
     assert b"element vertex 0" in blob

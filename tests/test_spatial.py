@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CLOUD_COLUMNS
 from mmvc import (
     Candidates,
     MtiState,
-    RadarPoint,
     RadarPose,
     Scatterer,
     ScatterScene,
@@ -23,10 +23,9 @@ from mmvc import (
     project_to_cartesian,
     range_gate,
     select_by_velocity,
-    sentinel_point,
     simulate_session,
 )
-from mmvc.types import BeamGrid, RangeDopplerMap, gate_tag
+from mmvc.types import VIEWS, BeamGrid, RangeDopplerMap, gate_tag
 
 
 def _rd(cells, config, view="right", **kwargs):
@@ -562,50 +561,58 @@ def test_extraction_budget_is_64_per_gate(config, poses):
     cloud = extract_point_cloud(
         _rd(cells, config), poses[1], config
     )
-    assert len(cloud.points) == 128
-    upper = [p for p in cloud.points if p.gate == "upper"]
-    lower = [p for p in cloud.points if p.gate == "lower"]
-    assert len(upper) == 64
-    assert len(lower) == 64
+    assert len(cloud) == 128
+    assert np.count_nonzero(cloud.gate_codes == 0) == 64  # upper
+    assert np.count_nonzero(cloud.gate_codes == 1) == 64  # lower
 
 
 def test_extraction_of_silent_map_is_all_sentinels(config, poses):
     cloud = extract_point_cloud(
         _rd(np.zeros((64, 128, 3)), config), poses[1], config
     )
-    assert len(cloud.points) == 128
+    assert len(cloud) == 128
     assert cloud.pad_count == 128
-    assert all(p.is_pad for p in cloud.points)
-    assert all(p.energy == 0.0 for p in cloud.points)
-    assert {p.gate for p in cloud.points} == {"upper", "lower"}
+    assert cloud.is_pad.all()
+    assert not cloud.energies.any()
+    # an empty gate's rows are all zero, not projected from the pose
+    assert not cloud.positions_m.any()
+    assert not cloud.ranges_m.any()
+    assert set(cloud.gate_codes.tolist()) == {0, 1}
+    assert set(cloud.view_codes.tolist()) == {VIEWS.index("right")}
 
 
 def test_extraction_marks_pad_rows(config, poses):
     cells = np.zeros((64, 128, 3), dtype=complex)
     cells[11, 70] = [1.0, 1.0, 1.0]  # a single broadside detection
     cloud = extract_point_cloud(_rd(cells, config), poses[1], config)
-    upper = [p for p in cloud.points if p.gate == "upper"]
-    real = [p for p in upper if not p.is_pad]
-    pads = [p for p in upper if p.is_pad]
+    upper = cloud.gate_codes == 0
+    real = cloud.energies[upper & ~cloud.is_pad]
+    pads = cloud.energies[upper & cloud.is_pad]
     assert len(real) >= 1
     assert len(real) + len(pads) == 64
     # pads duplicate a real detection, sentinel gate stays all-pad
-    assert all(p.energy == real[0].energy for p in pads) or len(real) > 1
+    assert all(e == real[0] for e in pads) or len(real) > 1
 
 
 def test_extraction_keeps_sensor_relative_measurements(config, poses):
     cells = np.zeros((64, 128, 3), dtype=complex)
     cells[20, 101] = [1.0, 1.0, 1.0]
     cloud = extract_point_cloud(_rd(cells, config), poses[1], config)
-    best = max(cloud.points, key=lambda p: p.energy)
-    assert best.range_m == pytest.approx(1.0)
-    assert best.radial_velocity_mps == pytest.approx(
+    best = int(np.argmax(cloud.energies))
+    assert cloud.ranges_m[best] == pytest.approx(1.0)
+    assert cloud.velocities_mps[best] == pytest.approx(
         37 * config.velocity_resolution_mps
     )
-    assert best.azimuth_rad == pytest.approx(0.0, abs=1e-12)
+    assert cloud.azimuths_rad[best] == pytest.approx(0.0, abs=1e-12)
     # position is in the head frame, not sensor frame
     expected = poses[1].sensor_to_head(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(best.position_m, expected, atol=1e-9)
+    assert np.allclose(cloud.positions_m[best], expected, atol=1e-9)
+
+
+def test_extraction_rejects_unknown_view(config, poses):
+    rd = _rd(np.zeros((64, 128, 3)), config, view="top")
+    with pytest.raises(ValueError, match="unknown view tag 'top'"):
+        extract_point_cloud(rd, poses[1], config)
 
 
 def test_extraction_passes_timestamp_and_view(config, poses):
@@ -673,17 +680,18 @@ def _reference_candidates(rd, weights, config):
 
 
 def _reference_points(rd, poses, config, weights):
-    """One point list per pose in ``poses``."""
+    """One list of point rows per pose in ``poses``: (position, velocity,
+    energy, range, azimuth, elevation, view code, gate code, is_pad)."""
     clouds = [[] for _ in poses]
+    view_code = VIEWS.index(rd.view)
     for i, bounds in enumerate(config.gate_bounds_m):
-        tag = gate_tag(i)
-        _, cands = _reference_candidates(range_gate(rd, bounds, tag), weights, config)
+        gated = range_gate(rd, bounds, gate_tag(i))
+        _, cands = _reference_candidates(gated, weights, config)
         selected, pad_count = select_by_velocity(cands, config)
         if len(selected) == 0:
+            sentinel = ((0.0, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0, 0.0, view_code, i, True)
             for points in clouds:
-                points.extend(
-                    sentinel_point(rd.view, tag) for _ in range(2 * config.point_budget)
-                )
+                points.extend([sentinel] * (2 * config.point_budget))
             continue
         n_real = len(selected) - pad_count
         for pose, points in zip(poses, clouds):
@@ -696,19 +704,25 @@ def _reference_points(rd, poses, config, weights):
                     max_angle_rad=config.max_steer_rad,
                 )
                 points.append(
-                    RadarPoint(
-                        position_m=tuple(float(v) for v in position),
-                        radial_velocity_mps=float(selected.velocities_mps[k]),
-                        energy=float(selected.energies[k]),
-                        range_m=float(selected.ranges_m[k]),
-                        azimuth_rad=float(selected.azimuths_rad[k]),
-                        elevation_rad=float(selected.elevations_rad[k]),
-                        view=rd.view,
-                        gate=tag,
-                        is_pad=k >= n_real,
+                    (
+                        tuple(float(v) for v in position),
+                        float(selected.velocities_mps[k]),
+                        float(selected.energies[k]),
+                        float(selected.ranges_m[k]),
+                        float(selected.azimuths_rad[k]),
+                        float(selected.elevations_rad[k]),
+                        view_code,
+                        i,
+                        k >= n_real,
                     )
                 )
     return clouds
+
+
+def _reference_columns(points):
+    """Point rows as the cloud's columns, name -> array."""
+    columns = zip(CLOUD_COLUMNS, zip(*points))
+    return {name: np.array(values) for name, values in columns}
 
 
 @pytest.fixture(scope="module")
@@ -809,16 +823,16 @@ def test_factored_extraction_matches_per_point_reference(
         )
         ref, ref_tilted = _reference_points(rd, (pose, tilted), config, weights)
         cloud = extract_point_cloud(rd, pose, config, weights=weights)
-        assert [repr(p) for p in cloud.points] == [repr(p) for p in ref]
+        for name, column in _reference_columns(ref).items():
+            assert _same_bits(getattr(cloud, name), column), name
+        assert cloud.pad_count == sum(p[-1] for p in ref)
 
         # a general rotation sums the matrix product of one point and of
         # a stack in different orders, so positions agree to rounding
         cloud = extract_point_cloud(rd, tilted, config, weights=weights)
-        ref = ref_tilted
-        strip = lambda p: dataclasses.replace(p, position_m=(0.0, 0.0, 0.0))
-        assert [strip(p) for p in cloud.points] == [strip(p) for p in ref]
-        gap = np.abs(
-            np.array([p.position_m for p in cloud.points])
-            - np.array([p.position_m for p in ref])
-        )
+        ref = _reference_columns(ref_tilted)
+        for name, column in ref.items():
+            if name != "positions_m":
+                assert _same_bits(getattr(cloud, name), column), name
+        gap = np.abs(cloud.positions_m - ref["positions_m"])
         assert gap.max() <= 1e-12
