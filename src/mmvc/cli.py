@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,6 +92,15 @@ def _apply_config_overrides(config: RadarConfig, args) -> RadarConfig:
     if getattr(args, "tau_ms", None) is not None:
         config = dataclasses.replace(config, tau_s=args.tau_ms * 1e-3)
     return validate_config(config)
+
+
+def _check_numeric_flags(args) -> None:
+    # each numeric flag's least value; every value must also be finite
+    for name, floor in (("window", 1), ("max_skew_ms", 0.0), ("duration", 0.0)):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value >= floor):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be finite and at least {floor}, got {value}")
 
 
 def _options_from_args(args) -> ProcessingOptions:
@@ -400,6 +410,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_numeric_flags(args)
         return args.func(args)
     except (
         ConfigError,

@@ -275,39 +275,20 @@ def cloud_feature_rows(cloud: PointCloud) -> np.ndarray:
     )).astype(np.float32)
 
 
-def assemble_feature_tensor(windows) -> np.ndarray:
-    """Stack accepted windows into a (window, frame, point, feature) tensor.
+def assemble_feature_tensor(blocks) -> np.ndarray:
+    """Stack fused clouds into a (window, frame, point, feature) tensor.
 
-    Every frame pair is fused with ``merge_views``; the fused clouds of
-    all windows must share one point count. Passing a rejected window
-    is an error, as is an empty window list.
+    ``blocks`` holds one sequence of ``merge_views`` clouds per accepted
+    window; frame k of window i is ``cloud_feature_rows`` of cloud k of
+    block i. All clouds share one point count; no blocks is an error.
     """
-    windows = list(windows)
-    if not windows:
+    rows = [[cloud_feature_rows(cloud) for cloud in block] for block in blocks]
+    if not rows:
         raise ValueError("no windows to assemble")
-    for w in windows:
-        if not w.accepted:
-            raise ValueError(
-                f"rejected window (start index {w.start_index}) passed to "
-                "tensor assembly; gate_windows decides acceptance"
-            )
-    frame_blocks = []
-    point_count = None
-    for w in windows:
-        block = []
-        for pf in w.frames:
-            if pf.left_cloud is None or pf.right_cloud is None:
-                raise ValueError("paired frame carries no point clouds")
-            fused = merge_views(pf.left_cloud, pf.right_cloud)
-            if point_count is None:
-                point_count = len(fused)
-            elif len(fused) != point_count:
-                raise ValueError(
-                    f"fused cloud size {len(fused)} differs from {point_count}"
-                )
-            block.append(cloud_feature_rows(fused))
-        frame_blocks.append(np.stack(block))
-    return np.stack(frame_blocks).astype(np.float32)
+    sizes = sorted({len(frame) for block in rows for frame in block})
+    if len(sizes) > 1:
+        raise ValueError(f"fused cloud sizes differ: {sizes}")
+    return np.stack([np.stack(block) for block in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,10 @@ def load_config(path) -> RadarConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config file must hold a key: value mapping")
-    return validate_config(RadarConfig.from_dict(data))
+    try:
+        return validate_config(RadarConfig.from_dict(data))
+    except TypeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_config(path, config: RadarConfig) -> None:

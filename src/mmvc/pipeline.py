@@ -100,7 +100,8 @@ def run_pipeline(
     frame index once and run forward in time. Motion filtering consumes
     every frame in stream order so the background estimate stays warm
     across dropped frames; the beamforming chain runs only for frames
-    that survived pairing.
+    that survived pairing. Each pair is fused once, and the tensor
+    stacks the fused clouds of the accepted windows.
     """
     validate_config(config)
     rdmap.validate_options(options)
@@ -131,15 +132,8 @@ def run_pipeline(
         lc, left_s = left_clouds[lf.frame_index]
         rc, right_s = right_clouds[rf.frame_index]
         pair_ms.append((left_s + right_s) * 1e3)
-        paired.append(
-            fusion.PairedFrame(
-                left_timestamp_ns=lf.calibrated_timestamp_ns,
-                right_timestamp_ns=rf.calibrated_timestamp_ns,
-                left_cloud=lc,
-                right_cloud=rc,
-                index=k,
-            )
-        )
+        stamps = (lf.calibrated_timestamp_ns, rf.calibrated_timestamp_ns)
+        paired.append(fusion.PairedFrame(*stamps, left_cloud=lc, right_cloud=rc, index=k))
         fused.append(fusion.merge_views(lc, rc, poses))
 
     tau = config.tau_s if tau_s is None else tau_s
@@ -150,7 +144,8 @@ def run_pipeline(
         label_timestamps_s=label_timestamps_s,
     )
     accepted = tuple(w for w in windows if w.accepted)
-    tensor = fusion.assemble_feature_tensor(accepted) if accepted else None
+    blocks = [fused[w.start_index : w.start_index + window_len] for w in accepted]
+    tensor = fusion.assemble_feature_tensor(blocks) if blocks else None
 
     report = {
         "frames": {"left": len(left_frames), "right": len(right_frames)},

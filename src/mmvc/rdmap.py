@@ -11,10 +11,12 @@ only) and both axes use a Hann window by default.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fusion import TensorFormatError
 from .types import FrameCube, RadarConfig, RangeDopplerMap
 
 MTI_MODES = ("ema", "mean")
@@ -172,7 +174,7 @@ def doppler_fft(
     resulting map is indexed (range bin, Doppler bin, rx) with receding
     targets above the centre bin.
     """
-    spec = np.asarray(spectrum).astype(np.complex128)
+    spec = np.asarray(spectrum, dtype=np.complex128)
     if window:
         spec = spec * _window(spec.shape[1])[None, :, None]
     cells = np.fft.fftshift(np.fft.fft(spec, axis=1), axes=1)
@@ -269,8 +271,13 @@ def dump_tensor(path, array: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read a ``dump_tensor`` file; a cut or overlong one is a TensorFormatError."""
     with open(path, "rb") as fh:
-        ndim = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        shape = tuple(np.frombuffer(fh.read(4 * ndim), dtype="<u4"))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    return data.reshape(shape).astype(np.complex128)
+        blob = fh.read()
+    header = 4 + 4 * int.from_bytes(blob[:4], "little")
+    if len(blob) < header:
+        raise TensorFormatError(f"cut tensor header: {len(blob)} of {header} bytes")
+    shape = tuple(np.frombuffer(blob[4:header], dtype="<u4").tolist())
+    if len(blob) != header + 16 * math.prod(shape):
+        raise TensorFormatError(f"{len(blob)}-byte tensor file cannot hold shape {shape}")
+    return np.frombuffer(blob, dtype="<c16", offset=header).reshape(shape).astype(complex)

@@ -99,13 +99,16 @@ def range_gate(
     bounds_m: tuple[float, float],
     tag: str = "",
 ) -> RangeDopplerMap:
-    """Zero every cell whose range-bin centre falls outside the gate."""
+    """The gate's band of a full map: a view of its rows first..last
+    (``gate_bin_interval``), not a copy, with ``first_range_bin`` first."""
+    if rd.first_range_bin:
+        raise ValueError(f"map is already a band from range bin {rd.first_range_bin}")
     first, last = gate_bin_interval(
         bounds_m, rd.range_bin_width_m, rd.cells.shape[0]
     )
-    out = np.zeros_like(rd.cells)
-    out[first : last + 1] = rd.cells[first : last + 1]
-    return dataclasses.replace(rd, cells=out, gate=tag or rd.gate)
+    return dataclasses.replace(
+        rd, cells=rd.cells[first : last + 1], gate=tag or rd.gate, first_range_bin=first
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,9 +156,9 @@ def beamform(
     with a positive inter-antenna phase ramp peaks on the matching
     positive beam. The detection field is the product of the two
     pairs' response magnitudes over (azimuth beam, elevation beam); the
-    grid holds the two magnitude factors, not their product. Only rows
-    from the first to the last with a non-zero cell (a gated map's
-    band) are swept: every other row of the field is zero.
+    grid holds the two magnitude factors, not their product. Every row
+    of the given map is swept, so a gated band costs only its own rows,
+    and the grid starts at the map's ``first_range_bin``.
     """
     cells = rd.cells
     if cells.shape[2] != 3:
@@ -167,22 +170,17 @@ def beamform(
         raise ValueError(
             f"weights shape {weights.shape} does not match (2, {config.beam_count})"
         )
-    live = np.flatnonzero(np.any(cells.reshape(cells.shape[0], -1) != 0, axis=1))
-    first, stop = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-    sub = cells[first:stop]
-    corner = sub[:, :, 0, None] * np.conj(weights[0])
+    corner = cells[:, :, 0, None] * np.conj(weights[0])
     w1c = np.conj(weights[1])
     return BeamGrid(
-        azimuth_magnitudes=np.abs(corner + sub[:, :, 1, None] * w1c),
-        elevation_magnitudes=np.abs(corner + sub[:, :, 2, None] * w1c),
+        azimuth_magnitudes=np.abs(corner + cells[:, :, 1, None] * w1c),
+        elevation_magnitudes=np.abs(corner + cells[:, :, 2, None] * w1c),
         beam_angles_rad=tuple(config.beam_angles_rad),
         gate=rd.gate or "",
         range_bin_width_m=rd.range_bin_width_m,
         velocity_bin_width_mps=rd.velocity_bin_width_mps,
         view=rd.view,
-        frame_index=rd.frame_index,
-        first_range_bin=first,
-        calibrated_timestamp_ns=rd.calibrated_timestamp_ns,
+        first_range_bin=rd.first_range_bin,
     )
 
 

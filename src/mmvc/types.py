@@ -235,8 +235,8 @@ def validate_config(config: RadarConfig) -> RadarConfig:
         errs.append("mti_alpha: must lie in (0, 1]")
     if config.mti_history < 1:
         errs.append("mti_history: must be at least 1")
-    if config.tau_s <= 0:
-        errs.append("tau_s: must be positive")
+    if not (config.tau_s > 0 and math.isfinite(config.tau_s)):
+        errs.append("tau_s: must be positive and finite")
 
     if not config.gate_bounds_m:
         errs.append("gate_bounds_m: at least one gate is required")
@@ -380,9 +380,11 @@ class FrameCube:
 
 @dataclass(frozen=True, eq=False)
 class RangeDopplerMap:
-    """Complex range-Doppler cells indexed (range bin, Doppler bin, rx).
+    """Complex range-Doppler cells indexed (row, Doppler bin, rx).
 
-    The Doppler axis is FFT-shifted: bin chirps_per_frame / 2 is zero
+    Row i holds range bin ``first_range_bin + i``: 0 for a full map, the
+    gate's first bin for the band ``range_gate`` cuts out of one. The
+    Doppler axis is FFT-shifted: bin chirps_per_frame / 2 is zero
     velocity and larger indices are receding targets. Provenance flags
     record which optional stages produced this map.
     """
@@ -400,6 +402,7 @@ class RangeDopplerMap:
     # (range bin, channel) pairs the compensation left unscaled because
     # the bin was all-zero for that channel.
     zero_bins: tuple[tuple[int, int], ...] = ()
+    first_range_bin: int = 0
 
     def __post_init__(self) -> None:
         _freeze_array(self, "cells", self.cells, ndim=3)
@@ -421,11 +424,11 @@ class BeamGrid:
 
     ``azimuth_magnitudes`` and ``elevation_magnitudes`` are the response
     magnitudes of the azimuth pair (0, 1) and the elevation pair (0, 2),
-    each indexed (row, Doppler bin, beam); row i is range bin
-    ``first_range_bin + i``. The field at (range, Doppler, az beam a,
-    el beam e) is the azimuth factor at beam a times the elevation
-    factor at beam e of the same cell, and is zero outside the stored
-    rows; phase is consumed by the aggregation.
+    each indexed (row, Doppler bin, beam); as in the map they were swept
+    from, row i is range bin ``first_range_bin + i``. The field at
+    (range, Doppler, az beam a, el beam e) is the azimuth factor at beam
+    a times the elevation factor at beam e of the same cell, and is zero
+    outside the stored rows; phase is consumed by the aggregation.
     """
 
     azimuth_magnitudes: np.ndarray
@@ -435,9 +438,7 @@ class BeamGrid:
     range_bin_width_m: float
     velocity_bin_width_mps: float
     view: str
-    frame_index: int
     first_range_bin: int = 0
-    calibrated_timestamp_ns: int | None = None
 
     def __post_init__(self) -> None:
         az = _freeze_array(self, "azimuth_magnitudes", self.azimuth_magnitudes, ndim=3)

@@ -567,6 +567,49 @@ def test_config_file_flows_through_simulate(tmp_path):
     assert read_capture(out / "left.mmvc").config.mti_history == 3
 
 
+def test_config_file_with_non_numeric_value_is_an_error(tmp_path, capsys):
+    cfg_path = tmp_path / "radar.yaml"
+    cfg_path.write_text("beam_count: x\n")
+    scene = tmp_path / "scene.txt"
+    scene.write_text(QUIET_SCENE)
+    argv = ["simulate", "--scene", str(scene), "--config", str(cfg_path)]
+    assert main(argv + ["--out", str(tmp_path / "cap")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {cfg_path}: ")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("process", "--window", "0", "--window must be finite and at least 1, got 0"),
+        ("process", "--max-skew-ms", "-5", "--max-skew-ms must be finite and at least 0.0"),
+        ("process", "--max-skew-ms", "nan", "--max-skew-ms must be finite"),
+        ("process", "--tau-ms", "nan", "tau_s: must be positive and finite"),
+        ("simulate", "--duration", "-1", "--duration must be finite and at least 0.0"),
+        ("simulate", "--duration", "nan", "--duration must be finite"),
+        ("verify", "--duration", "-1", "--duration must be finite and at least 0.0"),
+        ("verify", "--duration", "nan", "--duration must be finite"),
+    ],
+)
+def test_commands_reject_bad_numeric_flags(tmp_path, capsys, command, flag, value, message):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(QUIET_SCENE)
+    out = tmp_path / "o"
+    if command == "process":
+        argv = _process_argv(_simulate(tmp_path, duration="0.2"), out)
+    elif command == "simulate":
+        argv = ["simulate", "--scene", str(scene), "--out", str(out)]
+    else:
+        argv = ["verify", "--scene", str(scene)]
+    capsys.readouterr()
+    assert main(argv + [flag, value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {message}")
+    assert not out.exists()
+
+
 # --- pipeline surface ----------------------------------------------------------
 
 
@@ -599,6 +642,20 @@ def test_run_pipeline_counts_dropped_frames(config, poses):
     assert result.tensor is not None
     assert result.tensor.shape == (1, 2, 256, 8)
     assert len(result.fused_clouds) == 2
+
+
+def test_tensor_stacks_the_fused_clouds_of_accepted_windows(tmp_path, config, poses):
+    cap = _simulate(tmp_path, scene_text=MOVER_SCENE, duration="0.7")
+    captures = [read_capture(cap / f"{view}.mmvc") for view in ("left", "right")]
+    left, right = (calibrated_stream(c.frames, c.view, c.clock_sample) for c in captures)
+    result = run_pipeline(left, right, config, poses, window_len=3)
+    accepted = [w for w in result.windows if w.accepted]
+    assert len(accepted) == 2
+    assert result.tensor.shape == (2, 3, 256, 8)
+    for i, w in enumerate(accepted):
+        for k in range(3):
+            rows = fusion.cloud_feature_rows(result.fused_clouds[w.start_index + k])
+            assert np.array_equal(result.tensor[i, k], rows)
 
 
 def test_run_pipeline_rejects_repeated_frame_index(config, poses):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mmvc import (
-    AlignedWindow,
     PairedFrame,
     PointCloud,
     TensorFormatError,
@@ -370,35 +369,26 @@ def test_point_cloud_columns_are_read_only():
         cloud.energies[0] = 9.0
 
 
-def _window_of(n_frames, n=4, accepted=True, start=0):
-    frames = tuple(
-        PairedFrame(
-            left_timestamp_ns=seconds_to_ns(k * 0.1),
-            right_timestamp_ns=seconds_to_ns(k * 0.1),
-            left_cloud=_cloud("left", n=n),
-            right_cloud=_cloud("right", n=n),
-            index=start + k,
-        )
-        for k in range(n_frames)
-    )
-    return AlignedWindow(
-        frames=frames, mean_gap_s=0.0, accepted=accepted, start_index=start
-    )
+def _window_of(n_frames, n=4, start=0):
+    """Fused clouds of one window; frame k's left velocities read start + k."""
+    clouds = []
+    for k in range(start, start + n_frames):
+        left = _cloud("left", n=n)
+        left = dataclasses.replace(left, velocities_mps=left.velocities_mps + k)
+        clouds.append(merge_views(left, _cloud("right", n=n)))
+    return clouds
 
 
 def test_tensor_assembly_stacks_windows():
-    tensor = assemble_feature_tensor([_window_of(3), _window_of(3, start=3)])
+    blocks = [_window_of(3), _window_of(3, start=3)]
+    tensor = assemble_feature_tensor(blocks)
     assert tensor.shape == (2, 3, 8, 8)
     assert tensor.dtype == np.float32
-    # frame rows are the fused cloud's rows in order
-    w = _window_of(3)
-    fused = merge_views(w.frames[0].left_cloud, w.frames[0].right_cloud)
-    assert np.array_equal(tensor[0, 0], cloud_feature_rows(fused))
-
-
-def test_tensor_assembly_rejects_rejected_window():
-    with pytest.raises(ValueError, match="rejected window"):
-        assemble_feature_tensor([_window_of(2, accepted=False)])
+    # frame k of window i holds cloud k of block i's feature rows
+    for i, block in enumerate(blocks):
+        for k, cloud in enumerate(block):
+            assert np.array_equal(tensor[i, k], cloud_feature_rows(cloud))
+    assert tensor[1, 2, 0, 3] == 5.0  # left velocity of the window's last frame
 
 
 def test_tensor_assembly_rejects_empty_list():
@@ -406,19 +396,8 @@ def test_tensor_assembly_rejects_empty_list():
         assemble_feature_tensor([])
 
 
-def test_tensor_assembly_rejects_missing_clouds():
-    bare = AlignedWindow(
-        frames=(PairedFrame(left_timestamp_ns=0, right_timestamp_ns=0),),
-        mean_gap_s=0.0,
-        accepted=True,
-        start_index=0,
-    )
-    with pytest.raises(ValueError, match="no point clouds"):
-        assemble_feature_tensor([bare])
-
-
 def test_tensor_assembly_rejects_inconsistent_point_counts():
-    with pytest.raises(ValueError, match="differs from"):
+    with pytest.raises(ValueError, match=r"fused cloud sizes differ: \[8, 12\]"):
         assemble_feature_tensor([_window_of(1, n=4), _window_of(1, n=6)])
 
 

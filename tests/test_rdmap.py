@@ -15,6 +15,7 @@ from mmvc import (
     MtiState,
     MtiStateError,
     ProcessingOptions,
+    TensorFormatError,
     clutter_removal,
     doppler_fft,
     dump_tensor,
@@ -333,3 +334,16 @@ def test_tensor_dump_round_trip(tmp_path, config):
     back = load_tensor(path)
     assert back.shape == arr.shape
     assert np.array_equal(back, arr)
+
+
+def test_tensor_dump_rejects_every_cut(tmp_path):
+    path = tmp_path / "small.tensor"
+    dump_tensor(path, np.arange(6, dtype=complex).reshape(2, 3))
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(TensorFormatError):
+            load_tensor(path)
+    path.write_bytes(data + b"\0" * 16)
+    with pytest.raises(TensorFormatError, match="cannot hold shape"):
+        load_tensor(path)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import CLOUD_COLUMNS
 from mmvc import (
@@ -24,6 +26,7 @@ from mmvc import (
     range_gate,
     select_by_velocity,
     simulate_session,
+    spatial,
 )
 from mmvc.types import VIEWS, BeamGrid, RangeDopplerMap, gate_tag
 
@@ -48,7 +51,6 @@ def _grid(az, el, config, first_range_bin=0, view="right", gate="upper"):
         range_bin_width_m=config.range_resolution_m,
         velocity_bin_width_mps=config.velocity_resolution_mps,
         view=view,
-        frame_index=0,
         first_range_bin=first_range_bin,
     )
 
@@ -175,22 +177,29 @@ def test_gate_interval_rejects_bad_bounds(config):
         gate_bin_interval((0.301, 0.349), width, 64)
 
 
-def test_range_gate_zeroes_outside_band(config):
-    cells = np.ones((64, 4, 3), dtype=complex)
-    gated = range_gate(_rd(cells, config), (0.3, 0.9), tag="upper")
-    assert gated.gate == "upper"
-    assert np.all(gated.cells[:6] == 0)
-    assert np.all(gated.cells[6:18] == 1)
-    assert np.all(gated.cells[18:] == 0)
+def test_range_gate_is_a_view_of_the_band(config):
+    cells = np.arange(64 * 4 * 3).reshape(64, 4, 3).astype(complex)
+    rd = _rd(cells, config)
+    band = range_gate(rd, (0.3, 0.9), tag="upper")
+    assert band.gate == "upper"
+    assert band.first_range_bin == 6
+    assert np.array_equal(band.cells, cells[6:18])
+    assert np.shares_memory(band.cells, rd.cells)
 
 
 def test_adjacent_gates_cover_disjoint_rows(config):
-    cells = np.ones((64, 4, 3), dtype=complex)
-    rd = _rd(cells, config)
+    rd = _rd(np.ones((64, 4, 3), dtype=complex), config)
     upper = range_gate(rd, (0.3, 0.9))
     lower = range_gate(rd, (0.9, 1.5))
-    overlap = (np.abs(upper.cells) > 0) & (np.abs(lower.cells) > 0)
-    assert not overlap.any()
+    upper_rows = range(upper.first_range_bin, upper.first_range_bin + len(upper.cells))
+    lower_rows = range(lower.first_range_bin, lower.first_range_bin + len(lower.cells))
+    assert (upper_rows, lower_rows) == (range(6, 18), range(18, 30))
+
+
+def test_range_gate_rejects_a_band(config):
+    band = range_gate(_rd(np.ones((64, 4, 3)), config), (0.3, 0.9))
+    with pytest.raises(ValueError, match="already a band from range bin 6"):
+        range_gate(band, (0.3, 0.6))
 
 
 # --- beamforming -------------------------------------------------------------
@@ -629,10 +638,42 @@ def test_extraction_passes_timestamp_and_view(config, poses):
 
 # --- equivalence with the full 4-D field -------------------------------------
 #
-# The reference below builds the (range, Doppler, az beam, el beam) field
-# in full and scans it, and projects one point at a time: the chain as it
-# stood before the field was kept as two factors. The factored chain must
-# reproduce it bit for bit.
+# The reference below gates by zero-filling a full-size copy of the map,
+# builds the (range, Doppler, az beam, el beam) field in full and scans it
+# for live rows, and projects one point at a time: the chain as it stood
+# before the field was kept as two factors and a gate became a band. The
+# chain must reproduce it bit for bit.
+
+
+def _zero_filled_gate(rd, bounds_m, tag=""):
+    """``range_gate`` before bands: zero every cell outside the gate."""
+    first, last = gate_bin_interval(
+        bounds_m, rd.range_bin_width_m, rd.cells.shape[0]
+    )
+    out = np.zeros_like(rd.cells)
+    out[first : last + 1] = rd.cells[first : last + 1]
+    return dataclasses.replace(rd, cells=out, gate=tag or rd.gate)
+
+
+def _scanned_beamform(rd, weights, config):
+    """``beamform`` before bands: sweep the first to the last non-zero row
+    (its input checks and the grid fields it no longer fills left out)."""
+    cells = rd.cells
+    live = np.flatnonzero(np.any(cells.reshape(cells.shape[0], -1) != 0, axis=1))
+    first, stop = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+    sub = cells[first:stop]
+    corner = sub[:, :, 0, None] * np.conj(weights[0])
+    w1c = np.conj(weights[1])
+    return BeamGrid(
+        azimuth_magnitudes=np.abs(corner + sub[:, :, 1, None] * w1c),
+        elevation_magnitudes=np.abs(corner + sub[:, :, 2, None] * w1c),
+        beam_angles_rad=tuple(config.beam_angles_rad),
+        gate=rd.gate or "",
+        range_bin_width_m=rd.range_bin_width_m,
+        velocity_bin_width_mps=rd.velocity_bin_width_mps,
+        view=rd.view,
+        first_range_bin=first,
+    )
 
 
 def _reference_candidates(rd, weights, config):
@@ -685,7 +726,7 @@ def _reference_points(rd, poses, config, weights):
     clouds = [[] for _ in poses]
     view_code = VIEWS.index(rd.view)
     for i, bounds in enumerate(config.gate_bounds_m):
-        gated = range_gate(rd, bounds, gate_tag(i))
+        gated = _zero_filled_gate(rd, bounds, gate_tag(i))
         _, cands = _reference_candidates(gated, weights, config)
         selected, pad_count = select_by_velocity(cands, config)
         if len(selected) == 0:
@@ -788,9 +829,9 @@ def test_factored_detection_matches_full_field(config, equivalence_maps):
     checked = 0
     for rd in equivalence_maps:
         for i, bounds in enumerate(config.gate_bounds_m):
-            m = range_gate(rd, bounds, gate_tag(i))
-            ref_mags, ref = _reference_candidates(m, weights, config)
-            grid = beamform(m, weights, config)
+            filled = _zero_filled_gate(rd, bounds, gate_tag(i))
+            ref_mags, ref = _reference_candidates(filled, weights, config)
+            grid = beamform(range_gate(rd, bounds, gate_tag(i)), weights, config)
             field = grid.magnitudes
             assert _same_bits(field, ref_mags[: len(field)])
             assert not ref_mags[len(field) :].any()
@@ -836,3 +877,46 @@ def test_factored_extraction_matches_per_point_reference(
                 assert _same_bits(getattr(cloud, name), column), name
         gap = np.abs(cloud.positions_m - ref["positions_m"])
         assert gap.max() <= 1e-12
+
+
+# Band edges of the drawn maps: how many rows to zero at each end of the gate.
+_EDGES = {"none": (0, 0), "first": (1, 0), "last": (0, 1), "both": (1, 1), "all": None}
+
+
+@given(
+    first=st.integers(0, 15),
+    extent=st.integers(0, 17),
+    edges=st.sampled_from(sorted(_EDGES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(first=7, extent=0, edges="none", seed=1)  # a one-bin gate
+@example(first=9, extent=6, edges="last", seed=2)  # ends at the last bin
+def test_band_extraction_matches_zero_filled_scan(config, poses, first, extent, edges, seed):
+    # a 16-row map; a gate drawn past the last row is clamped to it
+    rows = 16
+    last = first + extent
+    width = config.range_resolution_m
+    bounds = (first * width, (last + 1) * width)
+    end = min(last, rows - 1)
+    assert gate_bin_interval(bounds, width, rows) == (first, end)
+
+    rng = np.random.default_rng(seed)
+    cells = rng.standard_normal((rows, 8, 3)) + 1j * rng.standard_normal((rows, 8, 3))
+    cells[rng.integers(rows), rng.integers(8)] *= 20.0
+    if _EDGES[edges] is None:
+        cells[first : end + 1] = 0.0
+    else:
+        head, tail = _EDGES[edges]
+        cells[first : first + head] = 0.0
+        cells[end + 1 - tail : end + 1] = 0.0
+    rd = _rd(cells, config, view="left")
+    cfg = dataclasses.replace(config, gate_bounds_m=(bounds,))
+    weights = dbf_weights(config)
+
+    cloud = extract_point_cloud(rd, poses[0], cfg, weights=weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial, "range_gate", _zero_filled_gate)
+        mp.setattr(spatial, "beamform", _scanned_beamform)
+        ref = extract_point_cloud(rd, poses[0], cfg, weights=weights)
+    for name in CLOUD_COLUMNS:
+        assert _same_bits(getattr(cloud, name), getattr(ref, name)), name
