@@ -10,24 +10,15 @@ only) and both axes use a Hann window by default.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fusion import TensorFormatError
-from .types import FrameCube, RadarConfig, RangeDopplerMap
+from .types import FrameCube, RadarConfig, RangeDopplerMap, _keep_frame_buffers_on_heap
 
 MTI_MODES = ("ema", "mean")
-
-# glibc mallopt parameters and the heap limits process_frame sets: the
-# mmap threshold is glibc's own ceiling for its dynamic threshold, and
-# the trim threshold is twice it, as the dynamic rule pairs them.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 class MtiStateError(ValueError):
@@ -75,14 +66,20 @@ def _window(n: int) -> np.ndarray:
 
 
 def _background(ring, alpha: float, mode: str) -> np.ndarray:
+    """Background of a ring of two or more frames, in a fresh array."""
     if mode == "mean":
         return np.mean(ring, axis=0)
     # Exponential average folded across the retained history, seeded by
     # the oldest retained frame: b <- alpha * x + (1 - alpha) * b. The
-    # weights sum to one, so a static scene cancels exactly.
-    b = ring[0]
-    for cube in ring[1:]:
-        b = alpha * cube + (1.0 - alpha) * b
+    # weights sum to one, so a static scene cancels exactly. Folded in
+    # place with the same products and sums, so the bits are those of
+    # the expression; ``b`` holds (1 - alpha) * b between steps.
+    b = (1.0 - alpha) * ring[0]
+    tmp = np.empty_like(b)
+    for cube in ring[1:-1]:
+        b += np.multiply(cube, alpha, out=tmp)
+        b *= 1.0 - alpha
+    b += np.multiply(ring[-1], alpha, out=tmp)
     return b
 
 
@@ -111,8 +108,11 @@ def mti_filter(
         )
     if not state.ring:
         filtered = np.zeros_like(x)
+    elif len(state.ring) == 1:
+        filtered = x - state.ring[0]
     else:
-        filtered = x - _background(state.ring, config.mti_alpha, mode)
+        background = _background(state.ring, config.mti_alpha, mode)
+        filtered = np.subtract(x, background, out=background)
     new_ring = (state.ring + (x,))[-config.mti_history :]
     out = FrameCube(
         samples=filtered.astype(np.complex64),
@@ -189,30 +189,6 @@ def doppler_fft(
         mti_applied=mti_applied,
         clutter_removed=clutter_removed,
     )
-
-
-@functools.cache
-def _keep_frame_buffers_on_heap() -> None:
-    """Let one frame's freed numpy buffers serve the next frame.
-
-    glibc maps every block above its mmap threshold afresh and hands
-    the top of its heap back to the kernel once more than twice that
-    threshold lies free. The threshold starts at 128 KiB and only rises
-    to the largest mapped block freed so far, about 0.8 MB here (a
-    complex128 frame cube), so a frame's cubes and beam sweeps cross
-    both limits: each frame re-faults over a thousand fresh pages, and
-    that kernel work is as slow as the host's memory load makes it.
-    Raising both limits once keeps the buffers on the heap for reuse.
-    Process-wide; a no-op where the C library has no ``mallopt``.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def process_frame(

@@ -29,6 +29,7 @@ from .types import (
     Scatterer,
     Trajectory,
     VIEWS,
+    _keep_frame_buffers_on_heap,
     seconds_to_ns,
 )
 
@@ -57,7 +58,7 @@ class SceneFormatError(ValueError):
 
 def _sensor_geometry(scatterer: Scatterer, pose: RadarPose, times_s) -> tuple:
     """Range and angles of a scatterer at the given times, sensor frame."""
-    pts = np.stack([scatterer.trajectory.position_at(t) for t in np.atleast_1d(times_s)])
+    pts = scatterer.trajectory.position_at(np.atleast_1d(times_s))
     q = pose.head_to_sensor(pts)
     rng = np.linalg.norm(q, axis=-1)
     if np.any(rng < 1e-6):
@@ -124,8 +125,10 @@ def synthesize_frame(
     Superposes each scatterer's tone (stop-and-go: geometry is frozen
     within a chirp, updated per chirp) and optional complex white
     Gaussian noise of total standard deviation ``scene.noise_std``.
-    Synthesis is linear in the scene's scatterer list.
+    Synthesis is linear in the scene's scatterer list. The first call
+    sets the C heap limits (``_keep_frame_buffers_on_heap``).
     """
+    _keep_frame_buffers_on_heap()
     if config.rx_count != 3:
         raise ValueError("synthesis assumes the 3-channel L-shaped array")
     ns_ = config.samples_per_chirp

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,43 @@ def gate_tag(index: int) -> str:
     if index < len(GATE_TAGS):
         return GATE_TAGS[index]
     return f"gate{index}"
+
+
+# glibc mallopt parameters and the heap limits the per-frame synthesis
+# and processing set: the mmap threshold is glibc's own ceiling for its
+# dynamic threshold, and the trim threshold is twice it, as the dynamic
+# rule pairs them.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@functools.cache
+def _keep_frame_buffers_on_heap() -> None:
+    """Let one frame's freed numpy buffers serve the next frame.
+
+    glibc maps every block above its mmap threshold afresh and hands
+    the top of its heap back to the kernel once more than twice that
+    threshold lies free. The threshold starts at 128 KiB and only rises
+    to the largest mapped block freed so far, about 0.8 MB here (a
+    complex128 frame cube), so a frame's cubes and beam sweeps cross
+    both limits: each frame re-faults hundreds to thousands of fresh
+    pages, and that kernel work is as slow as the host's memory load
+    makes it. Raising both limits once keeps the buffers on the heap
+    for reuse. Process-wide; a no-op where the C library has no
+    ``mallopt``.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def seconds_to_ns(t_s: float) -> int:
@@ -190,6 +228,11 @@ def _is_power_of_two(n: int) -> bool:
     return isinstance(n, int) and n > 0 and (n & (n - 1)) == 0
 
 
+def _positive_finite(value: float) -> bool:
+    # NaN fails every comparison, so a bare ``<= 0`` check lets it through.
+    return value > 0 and math.isfinite(value)
+
+
 def validate_config(config: RadarConfig) -> RadarConfig:
     """Check every config invariant; return the config unchanged.
 
@@ -198,20 +241,24 @@ def validate_config(config: RadarConfig) -> RadarConfig:
     """
     errs: list[str] = []
 
-    if config.bandwidth_hz <= 0:
-        errs.append("bandwidth_hz: must be positive")
-    if config.start_freq_hz <= 0 or config.end_freq_hz <= config.start_freq_hz:
-        errs.append("end_freq_hz: sweep must run upward from start_freq_hz")
+    if not _positive_finite(config.bandwidth_hz):
+        errs.append("bandwidth_hz: must be positive and finite")
+    sweep_ok = False
+    if not _positive_finite(config.start_freq_hz):
+        errs.append("start_freq_hz: must be positive and finite")
+    elif not config.start_freq_hz < config.end_freq_hz < math.inf:
+        errs.append("end_freq_hz: sweep must run upward from start_freq_hz to a finite end")
     else:
+        sweep_ok = True
         span = config.end_freq_hz - config.start_freq_hz
-        if abs(config.bandwidth_hz - span) > 1e-6 * span:
+        if _positive_finite(config.bandwidth_hz) and abs(config.bandwidth_hz - span) > 1e-6 * span:
             errs.append(
                 "bandwidth_hz: does not equal end_freq_hz - start_freq_hz"
             )
-    if config.chirp_duration_s <= 0:
-        errs.append("chirp_duration_s: must be positive")
-    if config.frame_period_s <= 0:
-        errs.append("frame_period_s: must be positive")
+    if not _positive_finite(config.chirp_duration_s):
+        errs.append("chirp_duration_s: must be positive and finite")
+    if not _positive_finite(config.frame_period_s):
+        errs.append("frame_period_s: must be positive and finite")
     if not _is_power_of_two(config.samples_per_chirp):
         errs.append("samples_per_chirp: must be a power of two")
     if not _is_power_of_two(config.chirps_per_frame):
@@ -221,8 +268,11 @@ def validate_config(config: RadarConfig) -> RadarConfig:
             "rx_count: must be 3 (corner antenna plus azimuth and "
             "elevation partners)"
         )
-    if config.antenna_spacing_m is not None and config.antenna_spacing_m <= 0:
-        errs.append("antenna_spacing_m: must be positive")
+    # The default spacing derives from the sweep; a bad sweep is reported once.
+    if sweep_ok and config.antenna_spacing_m is not None and not _positive_finite(
+        config.antenna_spacing_m
+    ):
+        errs.append("antenna_spacing_m: must be positive and finite")
     if config.beam_count < 3 or config.beam_count % 2 == 0:
         errs.append("beam_count: must be odd and at least 3 so a broadside beam exists")
     if not (0 < config.max_steer_rad <= math.pi / 2):
@@ -235,12 +285,12 @@ def validate_config(config: RadarConfig) -> RadarConfig:
         errs.append("mti_alpha: must lie in (0, 1]")
     if config.mti_history < 1:
         errs.append("mti_history: must be at least 1")
-    if not (config.tau_s > 0 and math.isfinite(config.tau_s)):
+    if not _positive_finite(config.tau_s):
         errs.append("tau_s: must be positive and finite")
 
     if not config.gate_bounds_m:
         errs.append("gate_bounds_m: at least one gate is required")
-    range_ok = config.bandwidth_hz > 0 and _is_power_of_two(config.samples_per_chirp)
+    range_ok = _positive_finite(config.bandwidth_hz) and _is_power_of_two(config.samples_per_chirp)
     prev_hi = None
     for lo, hi in config.gate_bounds_m:
         if lo < 0:
@@ -600,12 +650,17 @@ class Trajectory:
             points_m=tuple((r[1], r[2], r[3]) for r in rows),
         )
 
-    def position_at(self, t_s: float) -> np.ndarray:
-        if len(self.times_s) == 1:
-            return np.asarray(self.points_m[0], dtype=float)
+    def position_at(self, t_s) -> np.ndarray:
+        """Position at one time, shape (3,), or at an array of N times,
+        shape (N, 3).
+
+        Each axis is one ``np.interp`` over all the times, which gives
+        every time the same bits as a call of its own. A one-waypoint
+        track returns its waypoint at every time.
+        """
         tp = np.asarray(self.times_s)
         pts = np.asarray(self.points_m)
-        return np.array([np.interp(t_s, tp, pts[:, k]) for k in range(3)])
+        return np.stack([np.interp(t_s, tp, pts[:, k]) for k in range(3)], axis=-1)
 
 
 @dataclass(frozen=True)

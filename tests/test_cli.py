@@ -324,12 +324,12 @@ def test_process_rejects_non_finite_samples(tmp_path, capsys):
     assert err.startswith("error: frame 2 holds non-finite samples")
 
 
-def _embed_gates(path, gates):
-    """Rewrite a capture's embedded config to hold ``gates`` as its gate bounds."""
+def _embed(path, field, value):
+    """Rewrite one field of a capture's embedded config."""
     data = path.read_bytes()
     (meta_len,) = struct.unpack_from("<I", data, 9)
     meta = json.loads(data[13 : 13 + meta_len])
-    meta["config"]["gate_bounds_m"] = gates
+    meta["config"][field] = value
     blob = json.dumps(meta).encode("utf-8")
     rest = data[13 + meta_len :]
     path.write_bytes(data[:9] + struct.pack("<I", len(blob)) + blob + rest)
@@ -339,13 +339,24 @@ def _embed_gates(path, gates):
 def test_commands_reject_malformed_embedded_gates(tmp_path, capsys, gates):
     cap = _simulate(tmp_path, duration="0.2")
     for view in ("left", "right"):
-        _embed_gates(cap / f"{view}.mmvc", gates)
+        _embed(cap / f"{view}.mmvc", "gate_bounds_m", gates)
     export = ["export", "--capture", str(cap / "left.mmvc"), "--out", str(tmp_path / "e")]
     for argv in (_process_argv(cap, tmp_path / "o"), export):
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: bad embedded config: gate_bounds_m:")
+
+
+def test_commands_reject_non_finite_embedded_config(tmp_path, capsys):
+    cap = _simulate(tmp_path, duration="0.2")
+    for view in ("left", "right"):
+        _embed(cap / f"{view}.mmvc", "frame_period_s", float("nan"))
+    export = ["export", "--capture", str(cap / "left.mmvc"), "--out", str(tmp_path / "e")]
+    for argv in (_process_argv(cap, tmp_path / "o"), export):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bad embedded config: frame_period_s: must be positive and finite"]
 
 
 def test_process_calls_layers_through_their_modules(tmp_path, monkeypatch):
@@ -577,6 +588,33 @@ def test_config_file_with_non_numeric_value_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {cfg_path}: ")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("start_freq_hz", ".nan", "start_freq_hz: must be positive and finite"),
+        ("end_freq_hz", ".nan", "end_freq_hz: sweep must run upward from start_freq_hz"),
+        ("end_freq_hz", ".inf", "end_freq_hz: sweep must run upward from start_freq_hz"),
+        ("bandwidth_hz", ".nan", "bandwidth_hz: must be positive and finite"),
+        ("bandwidth_hz", ".inf", "bandwidth_hz: must be positive and finite"),
+        ("chirp_duration_s", ".nan", "chirp_duration_s: must be positive and finite"),
+        ("frame_period_s", ".nan", "frame_period_s: must be positive and finite"),
+        ("antenna_spacing_m", ".nan", "antenna_spacing_m: must be positive and finite"),
+    ],
+)
+def test_config_file_with_non_finite_value_is_an_error(tmp_path, capsys, field, value, message):
+    cfg_path = tmp_path / "radar.yaml"
+    cfg_path.write_text(f"{field}: {value}\n")
+    scene = tmp_path / "scene.txt"
+    scene.write_text(QUIET_SCENE)
+    out = tmp_path / "cap"
+    argv = ["simulate", "--scene", str(scene), "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,19 @@ def test_read_rejects_truncation(tmp_path, config):
         read_capture(path)
 
 
+def test_read_rejects_every_cut(tmp_path):
+    # a small cube keeps every cut length cheap to try
+    small = RadarConfig(samples_per_chirp=8, chirps_per_frame=8, gate_bounds_m=((0.05, 0.2),))
+    path = tmp_path / "x.mmvc"
+    write_capture(path, _frames(small, n=2), small, clock_sample=(0, 4_000_000))
+    data = path.read_bytes()
+    assert read_capture(path).config == small
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(CaptureFormatError):
+            read_capture(path)
+
+
 def test_read_rejects_trailing_bytes(tmp_path, config):
     path = tmp_path / "x.mmvc"
     write_capture(path, _frames(config, n=1), config)

@@ -94,6 +94,26 @@ def test_ema_background_matches_manual_fold(config):
     assert np.max(np.abs(out.samples - expected.astype(np.complex64))) < 1e-5
 
 
+def test_ema_fold_is_bit_exact_and_leaves_state_unchanged(config):
+    rng = np.random.default_rng(6)
+    state = MtiState()
+    for i in range(config.mti_history):
+        _, state = mti_filter(_frame(_random_cube(rng), index=i), state, config)
+    ring = [cube.copy() for cube in state.ring]
+    frame = _frame(_random_cube(rng), index=config.mti_history)
+    first, _ = mti_filter(frame, state, config)
+    second, _ = mti_filter(frame, state, config)
+    assert first.samples.tobytes() == second.samples.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(state.ring, ring))
+    # the expression form of the fold, one fresh array per operation
+    alpha = config.mti_alpha
+    background = ring[0]
+    for cube in ring[1:]:
+        background = alpha * cube + (1 - alpha) * background
+    expected = frame.samples.astype(np.complex128) - background
+    assert first.samples.tobytes() == expected.astype(np.complex64).tobytes()
+
+
 def test_ring_eviction_caps_history(config):
     rng = np.random.default_rng(4)
     state = MtiState()
@@ -277,48 +297,72 @@ def test_process_frame_carries_frame_identity(config):
     assert rd.calibrated_timestamp_ns == 1234
 
 
-_WARM_FRAMES_SCRIPT = """
+_WARM_FRAMES_PREAMBLE = """
 import json, resource
 import numpy as np
 from mmvc import (MtiState, RadarConfig, default_pose_pair, energy_compensation,
-                  extract_point_cloud, process_frame, validate_config)
+                  extract_point_cloud, parse_scene, process_frame, synthesize_frame,
+                  validate_config)
 from mmvc.types import FrameCube
 
 config = validate_config(RadarConfig())
 pose = default_pose_pair()[0]
 rng = np.random.default_rng(5)
+faults = []
+
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+"""
+
+_WARM_FRAMES_SCRIPTS = {
+    "process": """
 frames = []
 for k in range(20):
     cube = rng.standard_normal((3, 128, 128)) + 1j * rng.standard_normal((3, 128, 128))
     frames.append(FrameCube(samples=cube.astype(np.complex64), view=pose.view,
                             frame_index=k, local_timestamp_ns=k))
-state, faults = MtiState(), []
+state = MtiState()
 for frame in frames:
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = minflt()
     rd, state = process_frame(frame, state, config)
     extract_point_cloud(energy_compensation(rd), pose, config)
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(json.dumps(faults))
-"""
+    faults.append(minflt() - before)
+""",
+    "synthesis": """
+scene = parse_scene(
+    "scatterer reflectivity=0.9\\n"
+    "waypoint t=0.0 x=-0.1 y=-0.6 z=0.0\\nwaypoint t=2.0 x=-0.2 y=-0.8 z=0.1\\n"
+    "scatterer reflectivity=0.4\\nwaypoint t=0.0 x=-0.2 y=-1.3 z=0.1\\n"
+    "noise std=1.0\\n"
+)
+for k in range(20):
+    before = minflt()
+    synthesize_frame(scene, pose, config, 0.1 * k, rng=rng, frame_index=k)
+    faults.append(minflt() - before)
+""",
+}
 
 
 def test_warm_frames_reuse_freed_heap():
     """Once the heap has grown to a frame's needs, a frame through the
-    per-frame chain maps (almost) no fresh pages: its buffers reuse what
-    the previous frame freed. Without the heap limits a typical frame
-    faulted in several hundred pages. Runs in a fresh interpreter, since
-    the C heap's limits are process-wide and other tests move them."""
+    per-frame chain, or a synthesised frame, maps (almost) no fresh
+    pages: its buffers reuse what the previous frame freed. Without the
+    heap limits a typical frame faulted in several hundred pages. Runs
+    in a fresh interpreter, since the C heap's limits are process-wide
+    and other tests move them."""
     pytest.importorskip("resource")
     if not hasattr(ctypes.CDLL(None), "mallopt"):
         pytest.skip("the C library has no mallopt")
     src = str(Path(mmvc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _WARM_FRAMES_SCRIPT],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    faults = json.loads(out.stdout)
-    assert np.median(faults[-10:]) < 32, faults
+    for chain, script in _WARM_FRAMES_SCRIPTS.items():
+        out = subprocess.run(
+            [sys.executable, "-c", _WARM_FRAMES_PREAMBLE + script + "print(json.dumps(faults))\n"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        faults = json.loads(out.stdout)
+        assert np.median(faults[-10:]) < 32, (chain, faults)
 
 
 def test_validate_options_rejects_bad_mode():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmvc import (
     ClockModel,
@@ -17,6 +19,7 @@ from mmvc import (
     simulate_session,
     synthesize_frame,
 )
+from mmvc import simulate
 from mmvc.types import seconds_to_ns
 
 
@@ -278,6 +281,50 @@ def test_session_truth_matches_direct_evaluation(config, poses):
     assert session.truth["right"][1] == direct
 
 
+def _per_chirp_geometry(scatterer, pose, times_s):
+    """``simulate._sensor_geometry`` as it was when it sampled the track
+    with one ``position_at`` call per time."""
+    pts = np.stack([scatterer.trajectory.position_at(t) for t in np.atleast_1d(times_s)])
+    q = pose.head_to_sensor(pts)
+    rng = np.linalg.norm(q, axis=-1)
+    if np.any(rng < 1e-6):
+        raise ValueError("scatterer passes through the sensor origin")
+    az = np.arctan2(q[:, 0], q[:, 2])
+    el = np.arcsin(np.clip(q[:, 1] / rng, -1.0, 1.0))
+    return rng, az, el
+
+
+def test_session_matches_per_chirp_sampling(config, poses, monkeypatch):
+    # a waypoint falls inside frame 1's chirp sweep and the tracks end
+    # before the session does, so chirps sample between, on and past
+    # waypoints; the static scatterer has a single waypoint
+    scene = parse_scene(
+        """\
+scatterer reflectivity=0.9
+waypoint t=0.0 x=0.05 y=-0.6 z=0.1
+waypoint t=0.13 x=0.02 y=-0.75 z=0.05
+waypoint t=0.25 x=-0.04 y=-0.7 z=0.0
+scatterer reflectivity=0.7
+waypoint t=0.01 x=-0.1 y=-1.2 z=0.2
+waypoint t=0.2 x=0.1 y=-1.3 z=-0.1
+scatterer reflectivity=0.4
+waypoint t=0.0 x=0.2 y=-1.3 z=0.1
+clock right jitter_s=0.0005
+noise std=1.0
+"""
+    )
+    session = simulate_session(scene, poses, config, 0.4, seed=11)
+    monkeypatch.setattr(simulate, "_sensor_geometry", _per_chirp_geometry)
+    reference = simulate_session(scene, poses, config, 0.4, seed=11)
+    for view in ("left", "right"):
+        assert len(session.frames[view]) == 4
+        for got, want in zip(session.frames[view], reference.frames[view]):
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.local_timestamp_ns == want.local_timestamp_ns
+            assert got.aliased == want.aliased
+        assert session.truth[view] == reference.truth[view]
+
+
 def test_pose_lookup_by_view(config, poses):
     scene = _static_scene((0.16, -1.0, 0.0))
     session = simulate_session(scene, poses, config, 0.1, seed=0)
@@ -359,3 +406,42 @@ def test_trajectory_clamps_outside_span():
     assert traj.position_at(0.0).tolist() == [0.0, -1.0, 0.0]
     assert traj.position_at(5.0).tolist() == [1.0, -1.0, 0.0]
     assert traj.position_at(1.5).tolist() == [0.5, -1.0, 0.0]
+
+
+def _position_reference(traj, t):
+    """``Trajectory.position_at`` for one time, as it was before it
+    took arrays of times."""
+    if len(traj.times_s) == 1:
+        return np.asarray(traj.points_m[0], dtype=float)
+    tp = np.asarray(traj.times_s)
+    pts = np.asarray(traj.points_m)
+    return np.array([np.interp(t, tp, pts[:, k]) for k in range(3)])
+
+
+@st.composite
+def _track_and_times(draw):
+    n = draw(st.integers(1, 6))
+    times = sorted(
+        draw(st.sets(st.floats(-5.0, 5.0, allow_nan=False), min_size=n, max_size=n))
+    )
+    coord = st.floats(-3.0, 3.0, allow_nan=False)
+    points = draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n))
+    traj = Trajectory(times_s=tuple(times), points_m=tuple(points))
+    query = st.one_of(
+        st.sampled_from(times),  # exactly on a waypoint
+        st.floats(times[0], times[-1]),  # inside the span
+        st.floats(-1e3, times[0]),  # before it
+        st.floats(times[-1], 1e3),  # after it
+    )
+    return traj, draw(st.lists(query, min_size=1, max_size=24))
+
+
+@given(_track_and_times())
+def test_position_at_many_times_equals_each_time_alone(case):
+    traj, times = case
+    stacked = traj.position_at(np.array(times))
+    assert stacked.shape == (len(times), 3)
+    one_by_one = np.stack([traj.position_at(t) for t in times])
+    reference = np.stack([_position_reference(traj, t) for t in times])
+    assert traj.position_at(times[0]).shape == (3,)
+    assert stacked.tobytes() == one_by_one.tobytes() == reference.tobytes()
