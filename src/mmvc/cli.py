@@ -33,7 +33,6 @@ from .io_files import (
 )
 from .pipeline import (
     PipelineError,
-    PipelineResult,  # re-exported: callers import it from mmvc.cli
     calibrated_stream,
     frame_chain,
     run_pipeline,
@@ -396,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="csv/ply point clouds or raw range-Doppler tensors",
     )
     exp.add_argument("--gates", default=None, help=argparse.SUPPRESS)
-    exp.add_argument("--tau-ms", type=float, default=None, help=argparse.SUPPRESS)
     _add_stage_flags(exp)
     exp.set_defaults(func=_cmd_export)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .types import FrameCube, PointCloud, ns_to_seconds, seconds_to_ns
+from .types import FrameCube, PointCloud, RadarConfig, ns_to_seconds, seconds_to_ns
 
 TENSOR_MAGIC = b"MMFT"
 TENSOR_VERSION = 1
@@ -147,12 +147,11 @@ def pair_views(left, right, max_skew_s: float = 0.010) -> PairingResult:
 
 @dataclass(frozen=True)
 class PairedFrame:
-    """One matched frame pair, optionally carrying its point clouds."""
+    """Calibrated timestamps of one matched frame pair; ``index`` is its
+    position in the pairing."""
 
     left_timestamp_ns: int
     right_timestamp_ns: int
-    left_cloud: PointCloud | None = None
-    right_cloud: PointCloud | None = None
     label_timestamp_ns: int | None = None
     index: int = 0
 
@@ -181,22 +180,22 @@ class AlignedWindow:
 def gate_windows(
     paired,
     window_len: int = 10,
-    tau_s: float | None = None,
+    tau_s: float = RadarConfig.tau_s,
     label_timestamps_s=None,
 ) -> tuple[AlignedWindow, ...]:
     """Split paired frames into consecutive windows and gate each one.
 
     A window of ``window_len`` frames is rejected exactly when its
-    average cross-stream gap exceeds ``tau_s`` (default 20 ms). When
-    ``label_timestamps_s`` is given, each frame is first matched to its
-    nearest label timestamp and the gap is measured against that
-    stream; otherwise the left/right gap is used. The decision is a
-    pure function of timestamps; point data never affects it. Trailing
-    frames that do not fill a window are not gated.
+    average cross-stream gap exceeds ``tau_s`` (default
+    ``RadarConfig.tau_s``, 20 ms). When ``label_timestamps_s`` is given,
+    each frame is first matched to its nearest label timestamp and the
+    gap is measured against that stream; otherwise the left/right gap
+    is used. The decision is a pure function of timestamps; point data
+    never affects it. Trailing frames that do not fill a window are not
+    gated.
     """
     if window_len < 1:
         raise ValueError("window_len must be at least 1")
-    tau = 0.020 if tau_s is None else tau_s
     paired = list(paired)
 
     if label_timestamps_s is not None:
@@ -211,7 +210,7 @@ def gate_windows(
         paired = assigned
 
     windows = []
-    tau_ns = seconds_to_ns(tau)
+    tau_ns = seconds_to_ns(tau_s)
     for start in range(0, len(paired) - window_len + 1, window_len):
         frames = tuple(paired[start : start + window_len])
         gaps = [f.cross_gap_ns() for f in frames]

@@ -207,7 +207,7 @@ def load_config(path) -> RadarConfig:
         raise ConfigError(f"{path}: config file must hold a key: value mapping")
     try:
         return validate_config(RadarConfig.from_dict(data))
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

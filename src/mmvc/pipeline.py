@@ -24,7 +24,6 @@ class PipelineError(RuntimeError):
 @dataclasses.dataclass(frozen=True)
 class PipelineResult:
     pairing: object
-    paired_frames: tuple
     fused_clouds: tuple
     windows: tuple
     tensor: np.ndarray | None
@@ -90,8 +89,6 @@ def run_pipeline(
     *,
     max_skew_s: float = 0.010,
     window_len: int = 10,
-    tau_s: float | None = None,
-    label_timestamps_s=None,
     weights: np.ndarray | None = None,
 ) -> PipelineResult:
     """Run calibration-aware fusion over two calibrated frame streams.
@@ -133,16 +130,10 @@ def run_pipeline(
         rc, right_s = right_clouds[rf.frame_index]
         pair_ms.append((left_s + right_s) * 1e3)
         stamps = (lf.calibrated_timestamp_ns, rf.calibrated_timestamp_ns)
-        paired.append(fusion.PairedFrame(*stamps, left_cloud=lc, right_cloud=rc, index=k))
+        paired.append(fusion.PairedFrame(*stamps, index=k))
         fused.append(fusion.merge_views(lc, rc, poses))
 
-    tau = config.tau_s if tau_s is None else tau_s
-    windows = fusion.gate_windows(
-        paired,
-        window_len=window_len,
-        tau_s=tau,
-        label_timestamps_s=label_timestamps_s,
-    )
+    windows = fusion.gate_windows(paired, window_len=window_len, tau_s=config.tau_s)
     accepted = tuple(w for w in windows if w.accepted)
     blocks = [fused[w.start_index : w.start_index + window_len] for w in accepted]
     tensor = fusion.assemble_feature_tensor(blocks) if blocks else None
@@ -167,7 +158,7 @@ def run_pipeline(
         },
         "max_skew_s": max_skew_s,
         "window_len": window_len,
-        "tau_s": tau,
+        "tau_s": config.tau_s,
         "timing_ms": {
             "mean_per_frame_pair": float(np.mean(pair_ms)) if pair_ms else 0.0,
             "max_per_frame_pair": float(np.max(pair_ms)) if pair_ms else 0.0,
@@ -175,7 +166,6 @@ def run_pipeline(
     }
     return PipelineResult(
         pairing=pairing,
-        paired_frames=tuple(paired),
         fused_clouds=tuple(fused),
         windows=windows,
         tensor=tensor,
@@ -226,8 +216,7 @@ def score_recovery(
     evaluated = 0
     recovered = 0
     errs = {"range": [], "velocity": [], "azimuth": [], "elevation": []}
-    for pf, cloud in zip(result.paired_frames, result.fused_clouds):
-        left_frame, _ = result.pairing.pairs[pf.index]
+    for (left_frame, _), cloud in zip(result.pairing.pairs, result.fused_clouds):
         idx = left_frame.frame_index
         if idx < warmup:
             continue

@@ -48,6 +48,11 @@ def validate_options(options: ProcessingOptions) -> ProcessingOptions:
 class MtiState:
     """Ring of the most recent raw frames, oldest first.
 
+    The ring holds the frames' own read-only complex64 samples, not
+    copies: no frame leaves a long-lived buffer of its own on the heap,
+    so the next frame's buffers fit the holes this one freed. The
+    background widens them to complex128.
+
     The state is a value object: ``mti_filter`` returns an updated copy
     rather than mutating, so a stream must be filtered in frame order
     by a single writer but states may be kept or replayed freely.
@@ -68,18 +73,19 @@ def _window(n: int) -> np.ndarray:
 def _background(ring, alpha: float, mode: str) -> np.ndarray:
     """Background of a ring of two or more frames, in a fresh array."""
     if mode == "mean":
-        return np.mean(ring, axis=0)
+        return np.mean(np.asarray(ring, dtype=np.complex128), axis=0)
     # Exponential average folded across the retained history, seeded by
     # the oldest retained frame: b <- alpha * x + (1 - alpha) * b. The
     # weights sum to one, so a static scene cancels exactly. Folded in
     # place with the same products and sums, so the bits are those of
-    # the expression; ``b`` holds (1 - alpha) * b between steps.
-    b = (1.0 - alpha) * ring[0]
+    # the expression over the complex128 frames; ``b`` holds
+    # (1 - alpha) * b between steps.
+    b = np.multiply(ring[0], 1.0 - alpha, dtype=np.complex128)
     tmp = np.empty_like(b)
     for cube in ring[1:-1]:
-        b += np.multiply(cube, alpha, out=tmp)
+        b += np.multiply(cube, alpha, out=tmp, dtype=np.complex128)
         b *= 1.0 - alpha
-    b += np.multiply(ring[-1], alpha, out=tmp)
+    b += np.multiply(ring[-1], alpha, out=tmp, dtype=np.complex128)
     return b
 
 
@@ -113,7 +119,7 @@ def mti_filter(
     else:
         background = _background(state.ring, config.mti_alpha, mode)
         filtered = np.subtract(x, background, out=background)
-    new_ring = (state.ring + (x,))[-config.mti_history :]
+    new_ring = (state.ring + (frame.samples,))[-config.mti_history :]
     out = FrameCube(
         samples=filtered.astype(np.complex64),
         view=frame.view,
@@ -165,8 +171,6 @@ def doppler_fft(
     view: str = "",
     frame_index: int = 0,
     calibrated_timestamp_ns: int | None = None,
-    mti_applied: bool = False,
-    clutter_removed: bool = False,
 ) -> RangeDopplerMap:
     """FFT over the chirp axis, shifted so the centre bin is zero velocity.
 
@@ -186,8 +190,6 @@ def doppler_fft(
         view=view,
         frame_index=frame_index,
         calibrated_timestamp_ns=calibrated_timestamp_ns,
-        mti_applied=mti_applied,
-        clutter_removed=clutter_removed,
     )
 
 
@@ -199,10 +201,10 @@ def process_frame(
 ) -> tuple[RangeDopplerMap, MtiState]:
     """Run one frame through the fixed stage order.
 
-    Returns the range-Doppler map with provenance flags recording which
-    stages ran, plus the updated MTI state (unchanged when MTI is
-    disabled). Deterministic: identical inputs give identical outputs.
-    The first call sets the C heap limits (``_keep_frame_buffers_on_heap``).
+    Returns the range-Doppler map plus the updated MTI state (unchanged
+    when MTI is disabled); ``options`` is the record of which stages
+    ran. Deterministic: identical inputs give identical outputs. The
+    first call sets the C heap limits (``_keep_frame_buffers_on_heap``).
     """
     _keep_frame_buffers_on_heap()
     validate_options(options)
@@ -225,8 +227,6 @@ def process_frame(
         view=frame.view,
         frame_index=frame.frame_index,
         calibrated_timestamp_ns=frame.calibrated_timestamp_ns,
-        mti_applied=options.apply_mti,
-        clutter_removed=options.apply_clutter_removal,
     )
     return rd, state
 

@@ -14,7 +14,6 @@ The two baselines are treated as ideal orthogonal pairs.
 """
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,12 +194,6 @@ class SimulatedSession:
         raise KeyError(view)
 
 
-def _view_code(view: str) -> int:
-    if view in VIEWS:
-        return VIEWS.index(view)
-    return 2 + zlib.crc32(view.encode("utf-8")) % 1000
-
-
 def simulate_session(
     scene: ScatterScene,
     poses,
@@ -229,8 +222,8 @@ def simulate_session(
     clock_samples: dict = {}
     for pose in poses:
         view = pose.view
-        code = _view_code(view)
         clock: ClockModel = scene.clock_for(view)
+        code = VIEWS.index(view)
         ts_rng = np.random.default_rng([seed, code, _CLOCK_STREAM])
         jitter = (
             ts_rng.standard_normal(n_frames) * clock.jitter_s

@@ -61,9 +61,7 @@ def energy_compensation(rd: RangeDopplerMap) -> RangeDopplerMap:
     zero_bins = tuple(
         (int(r), int(c)) for r, c in np.argwhere(~populated)
     )
-    return dataclasses.replace(
-        rd, cells=out, compensated=True, zero_bins=zero_bins
-    )
+    return dataclasses.replace(rd, cells=out, zero_bins=zero_bins)
 
 
 def gate_bin_interval(
@@ -112,16 +110,11 @@ def range_gate(
 
 
 @functools.lru_cache(maxsize=16)
-def _weights_cached(
-    spacing_m: float,
-    wavelength_m: float,
-    max_steer_rad: float,
-    beam_count: int,
-    offset_rad: float,
-) -> np.ndarray:
-    angles = np.linspace(-max_steer_rad, max_steer_rad, beam_count) + offset_rad
+def _weights_cached(config: RadarConfig, offset_rad: float) -> np.ndarray:
+    angles = config.beam_angles_rad + offset_rad
     ant = np.arange(2)[:, None]
-    w = np.exp(1j * 2.0 * np.pi * (ant * spacing_m / wavelength_m) * np.sin(angles))
+    d_over_l = ant * config.antenna_spacing_m / config.center_wavelength_m
+    w = np.exp(1j * 2.0 * np.pi * d_over_l * np.sin(angles))
     w.setflags(write=False)
     return w
 
@@ -134,13 +127,7 @@ def dbf_weights(config: RadarConfig, offset_deg: float = 0.0) -> np.ndarray:
     corner antenna and is identically one. ``offset_deg`` shifts every
     theta_b, steering off the grid the rest of the chain assumes.
     """
-    return _weights_cached(
-        config.antenna_spacing_m,
-        config.center_wavelength_m,
-        config.max_steer_rad,
-        config.beam_count,
-        math.radians(offset_deg),
-    )
+    return _weights_cached(config, math.radians(offset_deg))
 
 
 def beamform(
@@ -175,7 +162,7 @@ def beamform(
     return BeamGrid(
         azimuth_magnitudes=np.abs(corner + cells[:, :, 1, None] * w1c),
         elevation_magnitudes=np.abs(corner + cells[:, :, 2, None] * w1c),
-        beam_angles_rad=tuple(config.beam_angles_rad),
+        beam_angles_rad=config.beam_angles_rad,
         gate=rd.gate or "",
         range_bin_width_m=rd.range_bin_width_m,
         velocity_bin_width_mps=rd.velocity_bin_width_mps,
@@ -254,7 +241,7 @@ def detect_points(grid: BeamGrid, config: RadarConfig) -> Candidates:
     cell, a, e = np.nonzero(sub_mask)
     r = live_r[cell] + grid.first_range_bin
     d = live_d[cell]
-    angles = np.asarray(grid.beam_angles_rad)
+    angles = grid.beam_angles_rad
     centre = grid.zero_velocity_bin
     return Candidates(
         range_bins=r,

@@ -193,9 +193,13 @@ class RadarConfig:
     def max_speed_mps(self) -> float:
         return self.center_wavelength_m / (4.0 * self.chirp_duration_s)
 
-    @property
+    @functools.cached_property
     def beam_angles_rad(self) -> np.ndarray:
-        """Steering angles, uniform from -max_steer to +max_steer."""
+        """Steering angles, uniform from -max_steer to +max_steer.
+
+        Computed once per config; every access returns the same
+        read-only array.
+        """
         angles = np.linspace(
             -self.max_steer_rad, self.max_steer_rad, self.beam_count
         )
@@ -435,8 +439,7 @@ class RangeDopplerMap:
     Row i holds range bin ``first_range_bin + i``: 0 for a full map, the
     gate's first bin for the band ``range_gate`` cuts out of one. The
     Doppler axis is FFT-shifted: bin chirps_per_frame / 2 is zero
-    velocity and larger indices are receding targets. Provenance flags
-    record which optional stages produced this map.
+    velocity and larger indices are receding targets.
     """
 
     cells: np.ndarray
@@ -445,9 +448,6 @@ class RangeDopplerMap:
     view: str
     frame_index: int
     calibrated_timestamp_ns: int | None = None
-    mti_applied: bool = False
-    clutter_removed: bool = False
-    compensated: bool = False
     gate: str | None = None
     # (range bin, channel) pairs the compensation left unscaled because
     # the bin was all-zero for that channel.
@@ -479,11 +479,12 @@ class BeamGrid:
     (range, Doppler, az beam a, el beam e) is the azimuth factor at beam
     a times the elevation factor at beam e of the same cell, and is zero
     outside the stored rows; phase is consumed by the aggregation.
+    ``beam_angles_rad`` is the config's read-only steering lattice.
     """
 
     azimuth_magnitudes: np.ndarray
     elevation_magnitudes: np.ndarray
-    beam_angles_rad: tuple[float, ...]
+    beam_angles_rad: np.ndarray
     gate: str
     range_bin_width_m: float
     velocity_bin_width_mps: float
@@ -502,9 +503,7 @@ class BeamGrid:
             )
         if self.first_range_bin < 0:
             raise ValueError(f"negative first range bin {self.first_range_bin}")
-        object.__setattr__(
-            self, "beam_angles_rad", tuple(float(a) for a in self.beam_angles_rad)
-        )
+        _freeze_array(self, "beam_angles_rad", self.beam_angles_rad, float, ndim=1)
 
     @property
     def magnitudes(self) -> np.ndarray:

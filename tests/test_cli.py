@@ -6,7 +6,9 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import CLOUD_COLUMNS
 from mmvc import (
+    PointCloud,
     RadarConfig,
     fusion,
     load_tensor,
@@ -20,6 +22,7 @@ from mmvc import (
 )
 from mmvc.cli import PipelineError, main, run_pipeline
 from mmvc.pipeline import calibrated_stream
+from mmvc.types import VIEWS
 
 MOVER_SCENE = """\
 scatterer reflectivity=0.92
@@ -497,7 +500,19 @@ def test_export_clouds_match_pipeline_clouds(tmp_path, config, poses):
             ["export", "--capture", str(cap / f"{view}.mmvc"), "--out", str(out)]
         )
         assert code == 0
-        clouds = [getattr(pf, f"{view}_cloud") for pf in result.paired_frames]
+        # the view's half of each fused cloud, stamped like its own frame
+        clouds = []
+        for pair, fused in zip(result.pairing.pairs, result.fused_clouds):
+            frame = pair[VIEWS.index(view)]
+            rows = fused.view_codes == VIEWS.index(view)
+            clouds.append(
+                PointCloud(
+                    **{name: getattr(fused, name)[rows] for name in CLOUD_COLUMNS},
+                    view=view,
+                    frame_index=frame.frame_index,
+                    timestamp_ns=frame.calibrated_timestamp_ns,
+                )
+            )
         write_clouds_csv(tmp_path / f"{view}.csv", clouds)
         expected = (tmp_path / f"{view}.csv").read_text()
         assert (out / "clouds.csv").read_text() == expected
@@ -613,7 +628,7 @@ def test_config_file_with_non_finite_value_is_an_error(tmp_path, capsys, field, 
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"error: {message}")
+    assert err[0].startswith(f"error: {cfg_path}: {message}")
     assert not out.exists()
 
 

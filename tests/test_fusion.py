@@ -3,8 +3,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mmvc import (
+    ClockOffset,
     PairedFrame,
     PointCloud,
     TensorFormatError,
@@ -90,14 +93,24 @@ def test_offset_from_stored_sample():
     assert offset_from_clock_sample((7, 7)).offset_ns == 0
 
 
-def test_calibration_replaces_rather_than_accumulates():
-    frames = (_frame(1.0), _frame(1.1, index=1))
-    once = calibrate_timestamps(frames, compute_offset(0.0, 0.010))
-    twice = calibrate_timestamps(once, compute_offset(0.0, 0.004))
-    assert once[0].calibrated_timestamp_ns == seconds_to_ns(0.990)
-    assert twice[0].calibrated_timestamp_ns == seconds_to_ns(0.996)
+_NS = st.integers(-(10**12), 10**12)
+
+
+@given(local_ns=st.lists(_NS, max_size=8), first_ns=_NS, second_ns=_NS)
+@example(local_ns=[10**9, 11 * 10**8], first_ns=-(10**7), second_ns=-4 * 10**6)
+def test_calibration_replaces_rather_than_accumulates(local_ns, first_ns, second_ns):
+    frames = tuple(
+        FrameCube(samples=EMPTY, view="left", frame_index=i, local_timestamp_ns=t)
+        for i, t in enumerate(local_ns)
+    )
+    first, second = ClockOffset(first_ns), ClockOffset(second_ns)
+    twice = calibrate_timestamps(calibrate_timestamps(frames, first), second)
+    once = calibrate_timestamps(frames, second)
+    assert [f.calibrated_timestamp_ns for f in twice] == [
+        f.calibrated_timestamp_ns for f in once
+    ]
     # locals are untouched either way
-    assert twice[0].local_timestamp_ns == seconds_to_ns(1.0)
+    assert [f.local_timestamp_ns for f in twice] == local_ns
 
 
 # --- pairing -----------------------------------------------------------------
@@ -165,22 +178,20 @@ def test_pairing_prefers_nearer_of_two_candidates():
     assert rf.calibrated_timestamp_ns == seconds_to_ns(0.104)
 
 
-def test_pairing_is_symmetric():
-    rng = np.random.default_rng(30)
-    tl = np.sort(rng.uniform(0, 2, size=18))
-    tr = np.sort(rng.uniform(0, 2, size=22))
-    left = _stream(tl, view="left")
-    right = _stream(tr, view="right")
+# Gaps between a stream's frames: from repeated timestamps up to past
+# the frame period, so a frame can have several partners within the
+# 10 ms skew bound, one, or none.
+_GAPS_S = st.lists(st.floats(0.0, 0.12), max_size=25)
+
+
+@given(left_gaps=_GAPS_S, right_gaps=_GAPS_S, offset_s=st.floats(-0.05, 0.05))
+def test_pairing_is_symmetric(left_gaps, right_gaps, offset_s):
+    left = _stream(np.cumsum(left_gaps), view="left")
+    right = _stream(np.cumsum(right_gaps), view="right", offset_s=offset_s)
     ab = pair_views(left, right)
     ba = pair_views(right, left)
-    pairs_ab = [
-        (l.calibrated_timestamp_ns, r.calibrated_timestamp_ns) for l, r in ab.pairs
-    ]
-    pairs_ba = [
-        (r.calibrated_timestamp_ns, l.calibrated_timestamp_ns) for l, r in ba.pairs
-    ]
-    assert pairs_ab == pairs_ba
-    assert ab.dropped_left == ba.dropped_right
+    assert list(ab.pairs) == [(lf, rf) for rf, lf in ba.pairs]
+    assert (ab.dropped_left, ab.dropped_right) == (ba.dropped_right, ba.dropped_left)
 
 
 def test_pairing_recovers_jittered_streams():

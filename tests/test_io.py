@@ -241,8 +241,9 @@ def test_config_file_rejects_invalid_values(tmp_path):
 def test_config_file_rejects_malformed_gate_entries(tmp_path, entry):
     path = tmp_path / "radar.yaml"
     path.write_text(f"gate_bounds_m: {entry}\n")
-    with pytest.raises(ConfigError, match="gate_bounds_m: each gate must be"):
+    with pytest.raises(ConfigError, match="gate_bounds_m: each gate must be") as info:
         load_config(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_config_file_rejects_non_mapping(tmp_path):

@@ -58,6 +58,7 @@ def test_first_frame_seeds_and_returns_zeros(config):
     assert np.all(out.samples == 0)
     assert state.frames_seen
     assert len(state.ring) == 1
+    assert state.ring[0] is frame.samples
 
 
 def test_static_scene_cancels_exactly(config):
@@ -105,10 +106,12 @@ def test_ema_fold_is_bit_exact_and_leaves_state_unchanged(config):
     second, _ = mti_filter(frame, state, config)
     assert first.samples.tobytes() == second.samples.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(state.ring, ring))
-    # the expression form of the fold, one fresh array per operation
+    # the expression form of the fold over the complex128 frames, one
+    # fresh array per operation
     alpha = config.mti_alpha
-    background = ring[0]
-    for cube in ring[1:]:
+    wide = [cube.astype(np.complex128) for cube in ring]
+    background = wide[0]
+    for cube in wide[1:]:
         background = alpha * cube + (1 - alpha) * background
     expected = frame.samples.astype(np.complex128) - background
     assert first.samples.tobytes() == expected.astype(np.complex64).tobytes()
@@ -256,17 +259,19 @@ def test_doppler_window_flag(config):
 # --- full stage driver -----------------------------------------------------
 
 
-def test_process_frame_sets_provenance_flags(config):
-    frame = _frame(np.zeros((3, 128, 128)))
-    rd, _ = process_frame(frame, MtiState(), config)
-    assert rd.mti_applied and rd.clutter_removed and not rd.compensated
-    rd, _ = process_frame(
-        frame,
-        MtiState(),
-        config,
-        ProcessingOptions(apply_mti=False, apply_clutter_removal=False),
-    )
-    assert not rd.mti_applied and not rd.clutter_removed
+def test_process_frame_stage_switches_take_effect(config):
+    # A static tone (one fresh MTI state per call, so MTI would zero any
+    # frame): with both stages off it lands on its range bin at zero
+    # velocity; clutter removal alone cancels it down to rounding, since
+    # the chirp mean of identical spectra is not summed exactly.
+    frame = _frame(tone_cube(config, range_bin=11.0, doppler_bins=0.0))
+    neither = ProcessingOptions(apply_mti=False, apply_clutter_removal=False)
+    rd, _ = process_frame(frame, MtiState(), config, neither)
+    peak = np.abs(rd.cells).max()
+    assert np.abs(rd.cells[11, 64]).min() == peak > 0
+    clutter_only = ProcessingOptions(apply_mti=False, apply_clutter_removal=True)
+    rd, _ = process_frame(frame, MtiState(), config, clutter_only)
+    assert np.abs(rd.cells).max() <= 1e-12 * peak
 
 
 def test_process_frame_without_mti_leaves_state_alone(config):
