@@ -101,7 +101,6 @@ def run_pipeline(
     stacks the fused clouds of the accepted windows.
     """
     validate_config(config)
-    rdmap.validate_options(options)
     _check_stream(left_frames, "left")
     _check_stream(right_frames, "right")
     if poses is None:

@@ -34,14 +34,11 @@ class ProcessingOptions:
     apply_clutter_removal: bool = True
     apply_compensation: bool = True
 
-
-def validate_options(options: ProcessingOptions) -> ProcessingOptions:
-    """Reject an unknown motion-filter mode."""
-    if options.mti_mode not in MTI_MODES:
-        raise ValueError(
-            f"options: mti_mode must be one of {MTI_MODES}, got {options.mti_mode!r}"
-        )
-    return options
+    def __post_init__(self) -> None:
+        if self.mti_mode not in MTI_MODES:
+            raise ValueError(
+                f"options: mti_mode must be one of {MTI_MODES}, got {self.mti_mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,6 @@ class MtiState:
     """
 
     ring: tuple = ()
-
-    @property
-    def frames_seen(self) -> bool:
-        return len(self.ring) > 0
 
 
 def _window(n: int) -> np.ndarray:
@@ -126,7 +119,6 @@ def mti_filter(
         frame_index=frame.frame_index,
         local_timestamp_ns=frame.local_timestamp_ns,
         calibrated_timestamp_ns=frame.calibrated_timestamp_ns,
-        aliased=frame.aliased,
     )
     return out, MtiState(ring=new_ring)
 
@@ -134,21 +126,16 @@ def mti_filter(
 def range_fft(
     frame: FrameCube | np.ndarray,
     window: bool = True,
-    keep_negative: bool = False,
 ) -> np.ndarray:
     """FFT over the sample axis; returns (rx, chirp, range bin).
 
-    Only the positive-frequency half is kept (range is non-negative)
-    unless ``keep_negative`` asks for the full spectrum, which is
-    useful for checking conjugate symmetry and energy conservation.
+    Only the positive-frequency half is kept: range is non-negative.
     """
     x = frame.samples if isinstance(frame, FrameCube) else np.asarray(frame)
     x = x.astype(np.complex128)
     if window:
         x = x * _window(x.shape[2])[None, None, :]
     spec = np.fft.fft(x, axis=2)
-    if keep_negative:
-        return spec
     return spec[:, :, : x.shape[2] // 2]
 
 
@@ -207,7 +194,6 @@ def process_frame(
     first call sets the C heap limits (``_keep_frame_buffers_on_heap``).
     """
     _keep_frame_buffers_on_heap()
-    validate_options(options)
     if not frame.matches(config):
         raise ValueError(
             f"frame shape {frame.samples.shape} does not match config "

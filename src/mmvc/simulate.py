@@ -138,11 +138,8 @@ def synthesize_frame(
     ant_gain = 2.0 * np.pi * config.antenna_spacing_m / lam
 
     cube = np.zeros((config.rx_count, nc, ns_), dtype=np.complex128)
-    aliased = False
     for sc in scene.scatterers:
         rng_m, az, el = _sensor_geometry(sc, pose, chirp_times)
-        if np.any(rng_m > config.max_range_m):
-            aliased = True
         amp = _amplitude(scene, sc, rng_m)
         f_if = config.chirp_slope_hz_per_s * 2.0 * rng_m / C_LIGHT
         carrier = 4.0 * np.pi * rng_m / lam
@@ -168,7 +165,6 @@ def synthesize_frame(
         view=pose.view,
         frame_index=frame_index,
         local_timestamp_ns=local_timestamp_ns,
-        aliased=aliased,
     )
 
 

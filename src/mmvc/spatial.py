@@ -45,10 +45,9 @@ def energy_compensation(rd: RangeDopplerMap) -> RangeDopplerMap:
     ones. Scaling is by a positive real, so phases are untouched, and
     applying the compensation twice changes nothing.
 
-    All-zero bins (m = 0) are left unscaled and reported in
-    ``zero_bins`` as (range bin, channel) pairs; restricting the
-    reference mean M to populated bins is what keeps the operation
-    idempotent in their presence.
+    All-zero bins (m = 0) are left unscaled; restricting the reference
+    mean M to populated bins is what keeps the operation idempotent in
+    their presence.
     """
     cells = rd.cells
     m = np.abs(cells).mean(axis=1)  # (range bin, channel)
@@ -57,11 +56,7 @@ def energy_compensation(rd: RangeDopplerMap) -> RangeDopplerMap:
     sums = np.where(populated, m, 0.0).sum(axis=0)
     ref = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     scale = np.where(populated, ref[None, :] / np.where(populated, m, 1.0), 1.0)
-    out = cells * scale[:, None, :]
-    zero_bins = tuple(
-        (int(r), int(c)) for r, c in np.argwhere(~populated)
-    )
-    return dataclasses.replace(rd, cells=out, zero_bins=zero_bins)
+    return dataclasses.replace(rd, cells=cells * scale[:, None, :])
 
 
 def gate_bin_interval(
@@ -162,7 +157,6 @@ def beamform(
     return BeamGrid(
         azimuth_magnitudes=np.abs(corner + cells[:, :, 1, None] * w1c),
         elevation_magnitudes=np.abs(corner + cells[:, :, 2, None] * w1c),
-        beam_angles_rad=config.beam_angles_rad,
         gate=rd.gate or "",
         range_bin_width_m=rd.range_bin_width_m,
         velocity_bin_width_mps=rd.velocity_bin_width_mps,
@@ -241,7 +235,7 @@ def detect_points(grid: BeamGrid, config: RadarConfig) -> Candidates:
     cell, a, e = np.nonzero(sub_mask)
     r = live_r[cell] + grid.first_range_bin
     d = live_d[cell]
-    angles = grid.beam_angles_rad
+    angles = config.beam_angles_rad
     centre = grid.zero_velocity_bin
     return Candidates(
         range_bins=r,

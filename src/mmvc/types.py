@@ -240,8 +240,9 @@ def _positive_finite(value: float) -> bool:
 def validate_config(config: RadarConfig) -> RadarConfig:
     """Check every config invariant; return the config unchanged.
 
-    Raises ConfigError naming each offending field. Validation is
-    idempotent: a validated config validates to an identical value.
+    Raises ConfigError naming each offending field, on one line with the
+    violations joined by "; ". Validation is idempotent: a validated
+    config validates to an identical value.
     """
     errs: list[str] = []
 
@@ -314,7 +315,7 @@ def validate_config(config: RadarConfig) -> RadarConfig:
         prev_hi = hi
 
     if errs:
-        raise ConfigError("\n".join(errs))
+        raise ConfigError("; ".join(errs))
     return config
 
 
@@ -417,9 +418,6 @@ class FrameCube:
     frame_index: int
     local_timestamp_ns: int
     calibrated_timestamp_ns: int | None = None
-    # Set when some scatterer sat beyond the unambiguous range while
-    # this frame was synthesised; aliasing is simulated, not hidden.
-    aliased: bool = False
 
     def __post_init__(self) -> None:
         _freeze_array(self, "samples", self.samples, dtype=np.complex64, ndim=3)
@@ -449,23 +447,10 @@ class RangeDopplerMap:
     frame_index: int
     calibrated_timestamp_ns: int | None = None
     gate: str | None = None
-    # (range bin, channel) pairs the compensation left unscaled because
-    # the bin was all-zero for that channel.
-    zero_bins: tuple[tuple[int, int], ...] = ()
     first_range_bin: int = 0
 
     def __post_init__(self) -> None:
         _freeze_array(self, "cells", self.cells, ndim=3)
-
-    @property
-    def zero_velocity_bin(self) -> int:
-        return self.cells.shape[1] // 2
-
-    def velocity_of_bin(self, doppler_bin: int) -> float:
-        return (doppler_bin - self.zero_velocity_bin) * self.velocity_bin_width_mps
-
-    def range_of_bin(self, range_bin: int) -> float:
-        return range_bin * self.range_bin_width_m
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,12 +464,10 @@ class BeamGrid:
     (range, Doppler, az beam a, el beam e) is the azimuth factor at beam
     a times the elevation factor at beam e of the same cell, and is zero
     outside the stored rows; phase is consumed by the aggregation.
-    ``beam_angles_rad`` is the config's read-only steering lattice.
     """
 
     azimuth_magnitudes: np.ndarray
     elevation_magnitudes: np.ndarray
-    beam_angles_rad: np.ndarray
     gate: str
     range_bin_width_m: float
     velocity_bin_width_mps: float
@@ -503,7 +486,6 @@ class BeamGrid:
             )
         if self.first_range_bin < 0:
             raise ValueError(f"negative first range bin {self.first_range_bin}")
-        _freeze_array(self, "beam_angles_rad", self.beam_angles_rad, float, ndim=1)
 
     @property
     def magnitudes(self) -> np.ndarray:

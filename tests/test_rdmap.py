@@ -1,5 +1,6 @@
 """Spectral chain: MTI filter, FFTs, clutter removal, stage plumbing."""
 import ctypes
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,6 @@ from mmvc import (
     mti_filter,
     process_frame,
     range_fft,
-    validate_options,
 )
 from mmvc.types import FrameCube
 
@@ -56,7 +56,6 @@ def test_first_frame_seeds_and_returns_zeros(config):
     frame = _frame(_random_cube(rng))
     out, state = mti_filter(frame, MtiState(), config)
     assert np.all(out.samples == 0)
-    assert state.frames_seen
     assert len(state.ring) == 1
     assert state.ring[0] is frame.samples
 
@@ -166,23 +165,6 @@ def test_range_fft_window_spreads_mainlobe(config):
     assert mags[19] > 1.0 and mags[21] > 1.0
 
 
-def test_range_fft_full_spectrum_is_hermitian_for_real_input(config):
-    rng = np.random.default_rng(5)
-    cube = rng.standard_normal((3, 128, 128)).astype(np.complex64)
-    spec = range_fft(_frame(cube), window=False, keep_negative=True)
-    flipped = np.conj(spec[:, :, list(range(0, -128, -1))])
-    assert np.allclose(spec, flipped, atol=1e-9)
-
-
-def test_range_fft_parseval(config):
-    rng = np.random.default_rng(6)
-    cube = _random_cube(rng)
-    spec = range_fft(_frame(cube), window=False, keep_negative=True)
-    time_energy = np.sum(np.abs(cube.astype(np.complex128)) ** 2)
-    freq_energy = np.sum(np.abs(spec) ** 2) / 128
-    assert freq_energy == pytest.approx(time_energy, rel=1e-12)
-
-
 def test_range_fft_is_linear(config):
     rng = np.random.default_rng(7)
     a, b = _random_cube(rng), _random_cube(rng)
@@ -217,7 +199,6 @@ def test_doppler_fft_layout_and_center(config):
     cube = tone_cube(config, range_bin=11.0)
     rd = doppler_fft(range_fft(_frame(cube), window=False), config, window=False)
     assert rd.cells.shape == (64, 128, 3)
-    assert rd.zero_velocity_bin == 64
     r, d = np.unravel_index(np.argmax(np.abs(rd.cells[:, :, 0])), (64, 128))
     assert (r, d) == (11, 64)
 
@@ -230,7 +211,6 @@ def test_doppler_fft_receding_target_lands_above_center(config):
     rd = doppler_fft(range_fft(_frame(cube), window=False), config, window=False)
     col = np.abs(rd.cells[11, :, 0])
     assert col.argmax() == 101
-    assert rd.velocity_of_bin(101) == pytest.approx(37 * config.velocity_resolution_mps)
 
 
 def test_doppler_fft_wraps_fast_target(config):
@@ -241,7 +221,6 @@ def test_doppler_fft_wraps_fast_target(config):
     rd = doppler_fft(range_fft(_frame(cube), window=False), config, window=False)
     col = np.abs(rd.cells[30, :, 0])
     assert col.argmax() == 9
-    assert rd.velocity_of_bin(9) == pytest.approx(-1.4971689895470384)
 
 
 def test_doppler_window_flag(config):
@@ -371,8 +350,10 @@ def test_warm_frames_reuse_freed_heap():
 
 
 def test_validate_options_rejects_bad_mode():
+    with pytest.raises(ValueError, match="options: mti_mode must be one of"):
+        ProcessingOptions(mti_mode="median")
     with pytest.raises(ValueError, match="mti_mode"):
-        validate_options(ProcessingOptions(mti_mode="median"))
+        dataclasses.replace(ProcessingOptions(), mti_mode="x")
 
 
 def test_tensor_dump_round_trip(tmp_path, config):

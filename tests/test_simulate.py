@@ -47,7 +47,6 @@ def test_one_metre_target_beats_at_bin_20(config, poses):
     spec = range_fft(frame, window=False)
     mags = np.abs(spec[0, 0])
     assert mags.argmax() == 20
-    assert not frame.aliased
 
 
 def test_range_bin_tracks_distance(config, poses):
@@ -96,12 +95,6 @@ def test_offboresight_source_sets_antenna_phase(config, poses):
     expected = np.exp(1j * np.pi * math.sin(az))
     assert abs(ratio_az - expected) < 1e-6
     assert abs(ratio_el - 1.0) < 1e-6
-
-
-def test_beyond_max_range_sets_aliased_flag(config, poses):
-    scene = _static_scene((0.16, -3.5, 0.0))
-    frame = synthesize_frame(scene, poses[1], config, 0.0)
-    assert frame.aliased
 
 
 def test_range_decay_scales_tone_amplitude(config, poses):
@@ -321,7 +314,6 @@ noise std=1.0
         for got, want in zip(session.frames[view], reference.frames[view]):
             assert got.samples.tobytes() == want.samples.tobytes()
             assert got.local_timestamp_ns == want.local_timestamp_ns
-            assert got.aliased == want.aliased
         assert session.truth[view] == reference.truth[view]
 
 

@@ -46,7 +46,6 @@ def _grid(az, el, config, first_range_bin=0, view="right", gate="upper"):
     return BeamGrid(
         azimuth_magnitudes=np.asarray(az, dtype=float),
         elevation_magnitudes=np.asarray(el, dtype=float),
-        beam_angles_rad=config.beam_angles_rad,
         gate=gate,
         range_bin_width_m=config.range_resolution_m,
         velocity_bin_width_mps=config.velocity_resolution_mps,
@@ -89,7 +88,6 @@ def test_compensation_equalises_toy_rows(config):
     out = energy_compensation(_rd(cells, _toy_config()))
     assert np.allclose(np.abs(out.cells[0, :, 0]), 3.0)
     assert np.allclose(np.abs(out.cells[1, :, 0]), 3.0)
-    assert out.zero_bins == ()
 
 
 def test_compensation_skips_and_reports_zero_rows(config):
@@ -98,7 +96,6 @@ def test_compensation_skips_and_reports_zero_rows(config):
     cells[2, :, 0] = [4.0, 4.0]
     out = energy_compensation(_rd(cells, _toy_config()))
     assert np.all(out.cells[1] == 0)
-    assert out.zero_bins == ((1, 0),)
     # reference mean is taken over populated rows only
     assert np.allclose(np.abs(out.cells[0, :, 0]), 3.0)
     assert np.allclose(np.abs(out.cells[2, :, 0]), 3.0)
@@ -328,8 +325,6 @@ def test_beam_lattice_is_one_read_only_array(config):
     angles = config.beam_angles_rad
     assert angles is config.beam_angles_rad
     assert not angles.flags.writeable
-    grid = beamform(_rd(np.zeros((4, 4, 3)), config), dbf_weights(config), config)
-    assert grid.beam_angles_rad is angles
 
 
 # --- detection ---------------------------------------------------------------
@@ -412,6 +407,14 @@ def test_detection_converts_bins_to_physical_units(config):
     )
     assert cands.azimuths_rad[0] == pytest.approx(math.radians(30.0))
     assert cands.elevations_rad[0] == pytest.approx(0.0, abs=1e-12)
+    # a full map's last range bin, and the bin a 2.0 m/s target wraps onto
+    # past the +-1.742 m/s span
+    az, el = _factors((64, 128, 31), {(63, 9, 15, 15): 1.0})
+    cands = detect_points(_grid(az, el, config), config)
+    assert cands.range_bins.tolist() == [63]
+    assert cands.ranges_m[0] == pytest.approx(3.15)
+    assert cands.velocities_mps[0] == -55 * config.velocity_resolution_mps
+    assert cands.velocities_mps[0] == pytest.approx(-1.4971689895470384)
 
 
 # --- selection ---------------------------------------------------------------
@@ -688,7 +691,6 @@ def _scanned_beamform(rd, weights, config):
     return BeamGrid(
         azimuth_magnitudes=np.abs(corner + sub[:, :, 1, None] * w1c),
         elevation_magnitudes=np.abs(corner + sub[:, :, 2, None] * w1c),
-        beam_angles_rad=config.beam_angles_rad,
         gate=rd.gate or "",
         range_bin_width_m=rd.range_bin_width_m,
         velocity_bin_width_mps=rd.velocity_bin_width_mps,
