@@ -184,6 +184,10 @@ def _cmd_simulate(args) -> int:
     scene_path = _require_file(args.scene, "scene file")
     scene = load_scene(scene_path)
     config = _apply_config_overrides(_load_or_default_config(args.config), args)
+    if not round(args.duration / config.frame_period_s):
+        raise ConfigError(
+            f"--duration {args.duration} s holds no {config.frame_period_s} s frame"
+        )
     poses = default_pose_pair()
     session = simulate_session(scene, poses, config, args.duration, seed=args.seed)
 

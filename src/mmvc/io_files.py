@@ -199,8 +199,9 @@ def load_config(path) -> RadarConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        except yaml.YAMLError as exc:  # its message spans several lines
+            lines = (line.strip() for line in str(exc).splitlines())
+            raise ConfigError(f"{path}: {'; '.join(filter(None, lines))}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):

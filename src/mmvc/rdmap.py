@@ -87,15 +87,15 @@ def mti_filter(
     state: MtiState,
     config: RadarConfig,
     mode: str = "ema",
-) -> tuple[FrameCube, MtiState]:
+) -> tuple[np.ndarray, MtiState]:
     """Subtract the moving-target-indication background from one frame.
 
-    Output is ``frame - background`` where the background is either the
-    exponential average (``mode="ema"``, default) or the plain mean
-    (``mode="mean"``) of the last ``mti_history`` raw frames. The very
-    first frame seeds the background and comes back all zero. The state
-    is updated after subtraction, so the background never contains the
-    current frame.
+    Returns the complex64 samples ``frame - background``, indexed like
+    the frame's, where the background is either the exponential average
+    (``mode="ema"``, default) or the plain mean (``mode="mean"``) of the
+    last ``mti_history`` raw frames. The very first frame seeds the
+    background and comes back all zero. The state is updated after
+    subtraction, so the background never contains the current frame.
     """
     if mode not in MTI_MODES:
         raise ValueError(f"mti mode must be one of {MTI_MODES}, got {mode!r}")
@@ -113,26 +113,16 @@ def mti_filter(
         background = _background(state.ring, config.mti_alpha, mode)
         filtered = np.subtract(x, background, out=background)
     new_ring = (state.ring + (frame.samples,))[-config.mti_history :]
-    out = FrameCube(
-        samples=filtered.astype(np.complex64),
-        view=frame.view,
-        frame_index=frame.frame_index,
-        local_timestamp_ns=frame.local_timestamp_ns,
-        calibrated_timestamp_ns=frame.calibrated_timestamp_ns,
-    )
-    return out, MtiState(ring=new_ring)
+    return filtered.astype(np.complex64), MtiState(ring=new_ring)
 
 
-def range_fft(
-    frame: FrameCube | np.ndarray,
-    window: bool = True,
-) -> np.ndarray:
-    """FFT over the sample axis; returns (rx, chirp, range bin).
+def range_fft(samples: np.ndarray, window: bool = True) -> np.ndarray:
+    """FFT over the sample axis of (rx, chirp, sample) samples; returns
+    (rx, chirp, range bin).
 
     Only the positive-frequency half is kept: range is non-negative.
     """
-    x = frame.samples if isinstance(frame, FrameCube) else np.asarray(frame)
-    x = x.astype(np.complex128)
+    x = np.asarray(samples).astype(np.complex128)
     if window:
         x = x * _window(x.shape[2])[None, None, :]
     spec = np.fft.fft(x, axis=2)
@@ -150,34 +140,18 @@ def clutter_removal(spectrum: np.ndarray) -> np.ndarray:
     return spec - spec.mean(axis=1, keepdims=True)
 
 
-def doppler_fft(
-    spectrum: np.ndarray,
-    config: RadarConfig,
-    window: bool = True,
-    *,
-    view: str = "",
-    frame_index: int = 0,
-    calibrated_timestamp_ns: int | None = None,
-) -> RangeDopplerMap:
+def doppler_fft(spectrum: np.ndarray, window: bool = True) -> np.ndarray:
     """FFT over the chirp axis, shifted so the centre bin is zero velocity.
 
     Input is a range spectrum indexed (rx, chirp, range bin); the
-    resulting map is indexed (range bin, Doppler bin, rx) with receding
-    targets above the centre bin.
+    returned cells are indexed (range bin, Doppler bin, rx) with
+    receding targets above the centre bin.
     """
     spec = np.asarray(spectrum, dtype=np.complex128)
     if window:
         spec = spec * _window(spec.shape[1])[None, :, None]
     cells = np.fft.fftshift(np.fft.fft(spec, axis=1), axes=1)
-    cells = np.transpose(cells, (2, 1, 0))
-    return RangeDopplerMap(
-        cells=cells,
-        range_bin_width_m=config.range_resolution_m,
-        velocity_bin_width_mps=config.velocity_resolution_mps,
-        view=view,
-        frame_index=frame_index,
-        calibrated_timestamp_ns=calibrated_timestamp_ns,
-    )
+    return np.transpose(cells, (2, 1, 0))
 
 
 def process_frame(
@@ -200,16 +174,14 @@ def process_frame(
             f"({config.rx_count}, {config.chirps_per_frame}, "
             f"{config.samples_per_chirp})"
         )
+    samples = frame.samples
     if options.apply_mti:
-        filtered, state = mti_filter(frame, state, config, mode=options.mti_mode)
-    else:
-        filtered = frame
-    spectrum = range_fft(filtered)
+        samples, state = mti_filter(frame, state, config, mode=options.mti_mode)
+    spectrum = range_fft(samples)
     if options.apply_clutter_removal:
         spectrum = clutter_removal(spectrum)
-    rd = doppler_fft(
-        spectrum,
-        config,
+    rd = RangeDopplerMap(
+        cells=doppler_fft(spectrum),
         view=frame.view,
         frame_index=frame.frame_index,
         calibrated_timestamp_ns=frame.calibrated_timestamp_ns,

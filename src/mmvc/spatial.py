@@ -90,6 +90,7 @@ def gate_bin_interval(
 def range_gate(
     rd: RangeDopplerMap,
     bounds_m: tuple[float, float],
+    config: RadarConfig,
     tag: str = "",
 ) -> RangeDopplerMap:
     """The gate's band of a full map: a view of its rows first..last
@@ -97,7 +98,7 @@ def range_gate(
     if rd.first_range_bin:
         raise ValueError(f"map is already a band from range bin {rd.first_range_bin}")
     first, last = gate_bin_interval(
-        bounds_m, rd.range_bin_width_m, rd.cells.shape[0]
+        bounds_m, config.range_resolution_m, rd.cells.shape[0]
     )
     return dataclasses.replace(
         rd, cells=rd.cells[first : last + 1], gate=tag or rd.gate, first_range_bin=first
@@ -158,8 +159,6 @@ def beamform(
         azimuth_magnitudes=np.abs(corner + cells[:, :, 1, None] * w1c),
         elevation_magnitudes=np.abs(corner + cells[:, :, 2, None] * w1c),
         gate=rd.gate or "",
-        range_bin_width_m=rd.range_bin_width_m,
-        velocity_bin_width_mps=rd.velocity_bin_width_mps,
         view=rd.view,
         first_range_bin=rd.first_range_bin,
     )
@@ -167,16 +166,13 @@ def beamform(
 
 @dataclass(frozen=True, eq=False)
 class Candidates:
-    """Columnar list of detected cells from one (view, gate) grid."""
+    """Columnar list of detected cells from one (view, gate) grid, in
+    bins; ``extract_point_cloud`` turns the selected rows into units."""
 
     range_bins: np.ndarray
     doppler_bins: np.ndarray
     azimuth_bins: np.ndarray
     elevation_bins: np.ndarray
-    ranges_m: np.ndarray
-    velocities_mps: np.ndarray
-    azimuths_rad: np.ndarray
-    elevations_rad: np.ndarray
     energies: np.ndarray
     view: str
     gate: str
@@ -188,7 +184,7 @@ class Candidates:
     def empty(cls, view: str, gate: str) -> "Candidates":
         z = np.zeros(0)
         zi = np.zeros(0, dtype=int)
-        return cls(zi, zi, zi, zi, z, z, z, z, z, view, gate)
+        return cls(zi, zi, zi, zi, z, view, gate)
 
     def take(self, indices) -> "Candidates":
         idx = np.asarray(indices, dtype=int)
@@ -197,10 +193,6 @@ class Candidates:
             self.doppler_bins[idx],
             self.azimuth_bins[idx],
             self.elevation_bins[idx],
-            self.ranges_m[idx],
-            self.velocities_mps[idx],
-            self.azimuths_rad[idx],
-            self.elevations_rad[idx],
             self.energies[idx],
             self.view,
             self.gate,
@@ -233,19 +225,11 @@ def detect_points(grid: BeamGrid, config: RadarConfig) -> Candidates:
     sub = az[live_r, live_d, :, None] * el[live_r, live_d, None, :]
     sub_mask = sub > threshold
     cell, a, e = np.nonzero(sub_mask)
-    r = live_r[cell] + grid.first_range_bin
-    d = live_d[cell]
-    angles = config.beam_angles_rad
-    centre = grid.zero_velocity_bin
     return Candidates(
-        range_bins=r,
-        doppler_bins=d,
+        range_bins=live_r[cell] + grid.first_range_bin,
+        doppler_bins=live_d[cell],
         azimuth_bins=a,
         elevation_bins=e,
-        ranges_m=r * grid.range_bin_width_m,
-        velocities_mps=(d - centre) * grid.velocity_bin_width_mps,
-        azimuths_rad=angles[a],
-        elevations_rad=angles[e],
         energies=sub[sub_mask],
         view=grid.view,
         gate=grid.gate,
@@ -322,41 +306,30 @@ def project_to_cartesian(
     return pose.sensor_to_head(range_m * direction)
 
 
-def _project_candidates(
+def _cloud_columns(
     cands: Candidates, pose: RadarPose, config: RadarConfig
-) -> np.ndarray:
-    """``project_to_cartesian`` over every candidate row in one stack.
+) -> tuple:
+    """A selection's cloud columns in ``PointCloud`` order: head-frame
+    positions, velocity, energy, range and the two beam angles, with
+    each bin read off ``config``'s lattice.
 
-    Sines and cosines of the beam angles the candidates' bins index are
-    taken with ``math``, as the one-point path takes them, so each
-    direction is the same. A row that the one-point path rejects raises
-    its error, checked over the field of view of ``config``.
+    Sines and cosines of the beam angles are taken with ``math``, as
+    ``project_to_cartesian`` takes them, so each direction is the same.
     """
-    max_angle_rad = config.max_steer_rad
-    limit = max_angle_rad + _FOV_TOL_RAD
-    bad = (
-        (cands.ranges_m < 0)
-        | (np.abs(cands.azimuths_rad) > limit)
-        | (np.abs(cands.elevations_rad) > limit)
-    )
-    if bad.any():
-        k = int(np.argmax(bad))
-        project_to_cartesian(
-            float(cands.ranges_m[k]),
-            float(cands.azimuths_rad[k]),
-            float(cands.elevations_rad[k]),
-            pose,
-            max_angle_rad=max_angle_rad,
-        )
-    angles = config.beam_angles_rad.tolist()
-    beam_sin = np.array([math.sin(t) for t in angles])
-    beam_cos = np.array([math.cos(t) for t in angles])
+    ranges = cands.range_bins * config.range_resolution_m
+    velocities = (
+        cands.doppler_bins - config.chirps_per_frame // 2
+    ) * config.velocity_resolution_mps
+    angles = config.beam_angles_rad
+    beam_sin = np.array([math.sin(t) for t in angles.tolist()])
+    beam_cos = np.array([math.cos(t) for t in angles.tolist()])
     az, el = cands.azimuth_bins, cands.elevation_bins
     direction = np.stack(
         [beam_sin[az] * beam_cos[el], beam_sin[el], beam_cos[az] * beam_cos[el]],
         axis=1,
     )
-    return pose.sensor_to_head(cands.ranges_m[:, None] * direction)
+    positions = pose.sensor_to_head(ranges[:, None] * direction)
+    return positions, velocities, cands.energies, ranges, angles[az], angles[el]
 
 
 def extract_point_cloud(
@@ -381,21 +354,16 @@ def extract_point_cloud(
     n = 2 * config.point_budget
     blocks = []
     for i, bounds in enumerate(config.gate_bounds_m):
-        gated = range_gate(rd, bounds, gate_tag(i))
+        gated = range_gate(rd, bounds, config, gate_tag(i))
         grid = beamform(gated, weights, config)
         selected, pad_count = select_by_velocity(detect_points(grid, config), config)
         if len(selected):
-            positions = _project_candidates(selected, pose, config)
-            measured = (
-                selected.velocities_mps, selected.energies, selected.ranges_m,
-                selected.azimuths_rad, selected.elevations_rad,
-            )
+            columns = _cloud_columns(selected, pose, config)
         else:  # no detections: all-zero pad rows
-            positions, measured = np.zeros((n, 3)), (np.zeros(n),) * 5
+            columns = (np.zeros((n, 3)),) + (np.zeros(n),) * 5
         blocks.append(
             PointCloud(
-                positions,
-                *measured,
+                *columns,
                 view_codes=np.full(n, view_code),
                 gate_codes=np.full(n, i),
                 is_pad=np.arange(n) >= n - pad_count,

@@ -437,12 +437,11 @@ class RangeDopplerMap:
     Row i holds range bin ``first_range_bin + i``: 0 for a full map, the
     gate's first bin for the band ``range_gate`` cuts out of one. The
     Doppler axis is FFT-shifted: bin chirps_per_frame / 2 is zero
-    velocity and larger indices are receding targets.
+    velocity and larger indices are receding targets. The bin widths
+    are the config's ``range_resolution_m`` and ``velocity_resolution_mps``.
     """
 
     cells: np.ndarray
-    range_bin_width_m: float
-    velocity_bin_width_mps: float
     view: str
     frame_index: int
     calibrated_timestamp_ns: int | None = None
@@ -469,8 +468,6 @@ class BeamGrid:
     azimuth_magnitudes: np.ndarray
     elevation_magnitudes: np.ndarray
     gate: str
-    range_bin_width_m: float
-    velocity_bin_width_mps: float
     view: str
     first_range_bin: int = 0
 
@@ -500,10 +497,6 @@ class BeamGrid:
         out[self.first_range_bin :] = az[:, :, :, None] * el[:, :, None, :]
         out.setflags(write=False)
         return out
-
-    @property
-    def zero_velocity_bin(self) -> int:
-        return self.azimuth_magnitudes.shape[1] // 2
 
 
 # (name, dtype) of each per-point column of a PointCloud, in field order.

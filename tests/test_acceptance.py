@@ -273,13 +273,7 @@ def test_criterion_4_energy_compensation(config):
         cells = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         zero_rows = rng.choice(n_range, size=int(rng.integers(0, 3)), replace=False)
         cells[zero_rows] = 0.0
-        rd = RangeDopplerMap(
-            cells=cells,
-            range_bin_width_m=config.range_resolution_m,
-            velocity_bin_width_mps=config.velocity_resolution_mps,
-            view="left",
-            frame_index=0,
-        )
+        rd = RangeDopplerMap(cells=cells, view="left", frame_index=0)
         out = energy_compensation(rd)
 
         means = np.abs(out.cells).mean(axis=1)  # (range bin, channel)

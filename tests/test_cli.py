@@ -619,6 +619,33 @@ def test_config_file_with_two_bad_fields_is_one_error_line(tmp_path, capsys):
     assert "mti_history: must be at least 1" in err[0]
 
 
+def test_config_file_yaml_parse_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the parser's message spans several lines; the error is one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.yaml").write_text("beam_count: [1,\n")
+    (tmp_path / "scene.txt").write_text(QUIET_SCENE)
+    argv = ["simulate", "--scene", "scene.txt", "--config", "bad.yaml", "--out", "cap"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: bad.yaml: ")
+
+
+@pytest.mark.parametrize("duration", ["0", "0.04"])
+def test_simulate_rejects_a_duration_without_frames(tmp_path, capsys, duration):
+    # 0.04 s rounds to no 0.1 s frame; an empty right capture would read
+    # back tagged left
+    scene = tmp_path / "scene.txt"
+    scene.write_text(QUIET_SCENE)
+    out = tmp_path / "cap"
+    argv = ["simulate", "--scene", str(scene), "--duration", duration, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert not list(tmp_path.rglob("*.mmvc"))
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

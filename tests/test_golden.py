@@ -69,12 +69,13 @@ def environment() -> dict:
     return {"numpy": np.__version__, "numeric_probe": numeric_probe()}
 
 
-def _mmvc(*argv) -> str:
-    """Run one ``mmvc`` command in-process; return its stdout."""
+def _mmvc(*argv, code: int = 0) -> str:
+    """Run one ``mmvc`` command in-process; return its stdout. The
+    command must exit with ``code``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main([str(a) for a in argv])
-    assert rc == 0, f"mmvc {argv[0]} exited {rc}"
+    assert rc == code, f"mmvc {argv[0]} exited {rc}, not {code}"
     return out.getvalue()
 
 
@@ -98,13 +99,16 @@ def golden_digests(work: Path) -> dict:
         json.dumps(report, indent=2, sort_keys=True).encode()
     )
 
-    for fmt in ("csv", "tensor"):
-        out = work / f"export-{fmt}"
-        _mmvc("export", "--capture", left, "--format", fmt, "--out", out)
-        digests[f"export left --format {fmt}"] = _dir_digest(out)
+    for view, fmt in (("left", "csv"), ("left", "tensor"), ("right", "csv")):
+        out = work / f"export-{view}-{fmt}"
+        _mmvc("export", "--capture", sim / f"{view}.mmvc", "--format", fmt, "--out", out)
+        digests[f"export {view} --format {fmt}"] = _dir_digest(out)
 
-    stdout = _mmvc("verify", *scene, "--corrupt-dbf-deg", 0)
-    digests["verify --corrupt-dbf-deg 0 stdout"] = _sha256(stdout.encode())
+    # At 9 degrees the weights steer off the beam lattice the angles are
+    # read from, and recovery fails: exit code 1.
+    for degrees, code in ((0, 0), (9, 1)):
+        stdout = _mmvc("verify", *scene, "--corrupt-dbf-deg", degrees, code=code)
+        digests[f"verify --corrupt-dbf-deg {degrees} stdout"] = _sha256(stdout.encode())
     return digests
 
 

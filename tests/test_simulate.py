@@ -44,7 +44,7 @@ def test_one_metre_target_beats_at_bin_20(config, poses):
     # beat frequency is 2 * B * d / (c * Tc) = 28.57 kHz, bin 20
     scene = _static_scene((0.16, -1.0, 0.0), range_decay=False)
     frame = synthesize_frame(scene, poses[1], config, 0.0)
-    spec = range_fft(frame, window=False)
+    spec = range_fft(frame.samples, window=False)
     mags = np.abs(spec[0, 0])
     assert mags.argmax() == 20
 
@@ -53,7 +53,7 @@ def test_range_bin_tracks_distance(config, poses):
     for d, expected_bin in [(0.5, 10), (1.5, 30), (2.5, 50)]:
         scene = _static_scene((0.16, -d, 0.0), range_decay=False)
         frame = synthesize_frame(scene, poses[1], config, 0.0)
-        mags = np.abs(range_fft(frame, window=False)[0, 0])
+        mags = np.abs(range_fft(frame.samples, window=False)[0, 0])
         assert mags.argmax() == expected_bin
 
 
@@ -64,10 +64,8 @@ def test_receding_target_lands_on_doppler_bin_11(config, poses):
     scene = _moving_scene((0.16, -1.0, 0.0), (0.16, -1.0 - 2 * v, 0.0),
                           range_decay=False)
     frame = synthesize_frame(scene, poses[1], config, 0.0)
-    rd = doppler_fft(range_fft(frame), config)
-    r, d = np.unravel_index(
-        np.argmax(np.abs(rd.cells[:, :, 0])), rd.cells.shape[:2]
-    )
+    cells = doppler_fft(range_fft(frame.samples))
+    r, d = np.unravel_index(np.argmax(np.abs(cells[:, :, 0])), cells.shape[:2])
     assert r == 20
     assert d == 64 + 11
 
@@ -77,8 +75,8 @@ def test_approaching_target_mirrors_doppler_sign(config, poses):
     scene = _moving_scene((0.16, -1.2, 0.0), (0.16, -1.2 + 2 * v, 0.0),
                           range_decay=False)
     frame = synthesize_frame(scene, poses[1], config, 0.0)
-    rd = doppler_fft(range_fft(frame), config)
-    d = np.abs(rd.cells[:, :, 0]).max(axis=0).argmax()
+    cells = doppler_fft(range_fft(frame.samples))
+    d = np.abs(cells[:, :, 0]).max(axis=0).argmax()
     assert d == 64 - 11
 
 

@@ -31,24 +31,20 @@ from mmvc import (
 from mmvc.types import VIEWS, BeamGrid, RangeDopplerMap, gate_tag
 
 
-def _rd(cells, config, view="right", **kwargs):
+def _rd(cells, view="right", **kwargs):
     return RangeDopplerMap(
         cells=np.asarray(cells, dtype=complex),
-        range_bin_width_m=config.range_resolution_m,
-        velocity_bin_width_mps=config.velocity_resolution_mps,
         view=view,
         frame_index=0,
         **kwargs,
     )
 
 
-def _grid(az, el, config, first_range_bin=0, view="right", gate="upper"):
+def _grid(az, el, first_range_bin=0, view="right", gate="upper"):
     return BeamGrid(
         azimuth_magnitudes=np.asarray(az, dtype=float),
         elevation_magnitudes=np.asarray(el, dtype=float),
         gate=gate,
-        range_bin_width_m=config.range_resolution_m,
-        velocity_bin_width_mps=config.velocity_resolution_mps,
         view=view,
         first_range_bin=first_range_bin,
     )
@@ -85,7 +81,7 @@ def test_compensation_equalises_toy_rows(config):
     cells = np.zeros((2, 2, 1), dtype=complex)
     cells[0, :, 0] = [2.0, 2.0]
     cells[1, :, 0] = [4.0, 4.0]
-    out = energy_compensation(_rd(cells, _toy_config()))
+    out = energy_compensation(_rd(cells))
     assert np.allclose(np.abs(out.cells[0, :, 0]), 3.0)
     assert np.allclose(np.abs(out.cells[1, :, 0]), 3.0)
 
@@ -94,28 +90,33 @@ def test_compensation_skips_and_reports_zero_rows(config):
     cells = np.zeros((3, 2, 1), dtype=complex)
     cells[0, :, 0] = [2.0, 2.0]
     cells[2, :, 0] = [4.0, 4.0]
-    out = energy_compensation(_rd(cells, _toy_config()))
+    out = energy_compensation(_rd(cells))
     assert np.all(out.cells[1] == 0)
     # reference mean is taken over populated rows only
     assert np.allclose(np.abs(out.cells[0, :, 0]), 3.0)
     assert np.allclose(np.abs(out.cells[2, :, 0]), 3.0)
 
 
-def test_compensation_is_idempotent(config):
-    rng = np.random.default_rng(10)
-    cells = rng.standard_normal((64, 128, 3)) + 1j * rng.standard_normal(
-        (64, 128, 3)
-    )
-    cells[40] = 0.0  # a hole must not break the fixed point
-    once = energy_compensation(_rd(cells, config))
+@given(
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 16), st.integers(1, 3)),
+    zero_rows=st.sets(st.integers(0, 23), max_size=6),
+    scale=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compensation_is_idempotent(config, shape, zero_rows, scale, seed):
+    rng = np.random.default_rng(seed)
+    cells = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # holes, a whole map of them included, must not break the fixed point
+    cells[sorted(r for r in zero_rows if r < shape[0])] = 0.0
+    once = energy_compensation(_rd(cells))
     twice = energy_compensation(once)
-    assert np.max(np.abs(twice.cells - once.cells)) < 1e-9
+    assert np.all(np.abs(twice.cells - once.cells) <= 1e-12 * np.abs(once.cells))
 
 
 def test_compensation_preserves_phase(config):
     rng = np.random.default_rng(11)
     cells = rng.standard_normal((8, 16, 3)) + 1j * rng.standard_normal((8, 16, 3))
-    out = energy_compensation(_rd(cells, config))
+    out = energy_compensation(_rd(cells))
     assert np.allclose(np.angle(out.cells), np.angle(cells))
 
 
@@ -128,20 +129,13 @@ def test_compensation_means_match_over_random_instances(config):
         )
         if rng.random() < 0.5:
             cells[rng.integers(16)] = 0.0
-        out = energy_compensation(_rd(cells, config))
+        out = energy_compensation(_rd(cells))
         for c in range(3):
             rows = np.abs(out.cells[:, :, c]).mean(axis=1)
             populated = rows > 0
             assert populated.any()
             spread = rows[populated].max() - rows[populated].min()
             assert spread < 1e-9
-
-
-def _toy_config():
-    # only resolution fields are read when building toy maps
-    from mmvc import RadarConfig
-
-    return RadarConfig()
 
 
 # --- range gates -------------------------------------------------------------
@@ -175,8 +169,8 @@ def test_gate_interval_rejects_bad_bounds(config):
 
 def test_range_gate_is_a_view_of_the_band(config):
     cells = np.arange(64 * 4 * 3).reshape(64, 4, 3).astype(complex)
-    rd = _rd(cells, config)
-    band = range_gate(rd, (0.3, 0.9), tag="upper")
+    rd = _rd(cells)
+    band = range_gate(rd, (0.3, 0.9), config, tag="upper")
     assert band.gate == "upper"
     assert band.first_range_bin == 6
     assert np.array_equal(band.cells, cells[6:18])
@@ -184,18 +178,18 @@ def test_range_gate_is_a_view_of_the_band(config):
 
 
 def test_adjacent_gates_cover_disjoint_rows(config):
-    rd = _rd(np.ones((64, 4, 3), dtype=complex), config)
-    upper = range_gate(rd, (0.3, 0.9))
-    lower = range_gate(rd, (0.9, 1.5))
+    rd = _rd(np.ones((64, 4, 3), dtype=complex))
+    upper = range_gate(rd, (0.3, 0.9), config)
+    lower = range_gate(rd, (0.9, 1.5), config)
     upper_rows = range(upper.first_range_bin, upper.first_range_bin + len(upper.cells))
     lower_rows = range(lower.first_range_bin, lower.first_range_bin + len(lower.cells))
     assert (upper_rows, lower_rows) == (range(6, 18), range(18, 30))
 
 
 def test_range_gate_rejects_a_band(config):
-    band = range_gate(_rd(np.ones((64, 4, 3)), config), (0.3, 0.9))
+    band = range_gate(_rd(np.ones((64, 4, 3))), (0.3, 0.9), config)
     with pytest.raises(ValueError, match="already a band from range bin 6"):
-        range_gate(band, (0.3, 0.6))
+        range_gate(band, (0.3, 0.6), config)
 
 
 # --- beamforming -------------------------------------------------------------
@@ -256,7 +250,7 @@ def _steered_cells(config, az_rad, el_rad, r=11, d=70, amp=1.0):
 def test_beamform_peaks_on_matching_beam(config):
     az = math.radians(30.0)
     grid = beamform(
-        _rd(_steered_cells(config, az, 0.0), config), dbf_weights(config), config
+        _rd(_steered_cells(config, az, 0.0)), dbf_weights(config), config
     )
     r, d, a, e = np.unravel_index(
         np.argmax(grid.magnitudes), grid.magnitudes.shape
@@ -269,7 +263,7 @@ def test_beamform_peaks_on_matching_beam(config):
 def test_beamform_mirrored_source_lands_on_mirrored_beam(config):
     az = math.radians(-30.0)
     grid = beamform(
-        _rd(_steered_cells(config, az, 0.0), config), dbf_weights(config), config
+        _rd(_steered_cells(config, az, 0.0)), dbf_weights(config), config
     )
     a = np.argmax(grid.magnitudes[11, 70].max(axis=1))
     assert a == 5
@@ -282,7 +276,7 @@ def test_beamform_recovers_every_grid_angle(config):
     angles = np.asarray(config.beam_angles_rad)
     for b in range(0, config.beam_count, 5):
         cells = _steered_cells(config, angles[b], angles[-1 - b])
-        grid = beamform(_rd(cells, config), w, config)
+        grid = beamform(_rd(cells), w, config)
         a, e = np.unravel_index(
             np.argmax(grid.magnitudes[11, 70]), (31, 31)
         )
@@ -295,7 +289,7 @@ def test_beamform_is_product_of_pair_magnitudes(config):
     cells = np.zeros((64, 128, 3), dtype=complex)
     cells[5, 9] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w = dbf_weights(config)
-    grid = beamform(_rd(cells, config), w, config)
+    grid = beamform(_rd(cells), w, config)
     c0, c1, c2 = cells[5, 9]
     az = np.abs(c0 * np.conj(w[0]) + c1 * np.conj(w[1]))
     el = np.abs(c0 * np.conj(w[0]) + c2 * np.conj(w[1]))
@@ -305,17 +299,17 @@ def test_beamform_is_product_of_pair_magnitudes(config):
 def test_beamform_rejects_wrong_channel_count(config):
     cells = np.zeros((4, 4, 2), dtype=complex)
     with pytest.raises(ValueError, match="3 channels"):
-        beamform(_rd(cells, config), dbf_weights(config), config)
+        beamform(_rd(cells), dbf_weights(config), config)
 
 
 def test_beamform_rejects_wrong_weight_shape(config):
     cells = np.zeros((4, 4, 3), dtype=complex)
     with pytest.raises(ValueError, match="weights shape"):
-        beamform(_rd(cells, config), np.ones((2, 7)), config)
+        beamform(_rd(cells), np.ones((2, 7)), config)
 
 
 def test_beamform_carries_identity(config):
-    rd = _rd(np.zeros((4, 4, 3)), config, view="left", gate="lower")
+    rd = _rd(np.zeros((4, 4, 3)), view="left", gate="lower")
     grid = beamform(rd, dbf_weights(config), config)
     assert grid.view == "left"
     assert grid.gate == "lower"
@@ -339,7 +333,7 @@ def test_detection_keeps_within_3p5_db_of_peak(config):
             (2, 2, 9, 9): 0.5,  # -6.0 dB: dropped
         },
     )
-    cands = detect_points(_grid(az, el, config), config)
+    cands = detect_points(_grid(az, el), config)
     kept = set(zip(cands.range_bins.tolist(), cands.doppler_bins.tolist()))
     assert kept == {(0, 0), (1, 1)}
     assert cands.energies.tolist() == [1.0, 0.7]
@@ -357,7 +351,7 @@ def test_detection_is_strict_at_exact_threshold(config):
     az[1, 1, 1] = at
     az[1, 1, 2] = np.nextafter(at, np.inf)
     el[1, 1, 1] = 1.0
-    cands = detect_points(_grid(az, el, config), config)
+    cands = detect_points(_grid(az, el), config)
     quads = _quads(cands)
     assert quads == [(0, 0, 0, 0), (1, 1, 2, 1)]
 
@@ -370,7 +364,7 @@ def test_detection_order_is_row_major(config):
     # also holds the (1, 1) and (7, 7) cross terms
     az[0, 2, [1, 7]] = el[0, 2, [1, 7]] = 1.0
     az[1, 0, 0] = el[1, 0, 0] = 1.0
-    cands = detect_points(_grid(az, el, config), config)
+    cands = detect_points(_grid(az, el), config)
     quads = _quads(cands)
     assert quads == [
         (0, 2, 1, 1),
@@ -384,37 +378,51 @@ def test_detection_order_is_row_major(config):
 
 def test_detection_scales_with_grid(config):
     az, el = _factors((2, 2, 31), {(0, 0, 0, 0): 1.0, (1, 1, 5, 5): 0.7})
-    big = detect_points(_grid(az * 1e6, el, config), config)
-    small = detect_points(_grid(az, el, config), config)
+    big = detect_points(_grid(az * 1e6, el), config)
+    small = detect_points(_grid(az, el), config)
     assert len(big) == len(small) == 2
 
 
 def test_detection_of_empty_grid_yields_nothing(config):
     for shape in [(2, 2, 31), (0, 128, 31)]:
-        cands = detect_points(_grid(np.zeros(shape), np.zeros(shape), config), config)
+        cands = detect_points(_grid(np.zeros(shape), np.zeros(shape)), config)
         assert len(cands) == 0
         assert cands.view == "right"
 
 
-def test_detection_converts_bins_to_physical_units(config):
-    # 12 stored rows starting at range bin 18, as the lower gate leaves them
+def test_detection_converts_bins_to_physical_units(config, poses):
+    # detection reports bins: 12 stored rows from range bin 18, as the
+    # lower gate leaves them
     az, el = _factors((12, 128, 31), {(2, 101, 25, 15): 1.0})
-    cands = detect_points(_grid(az, el, config, first_range_bin=18), config)
-    assert cands.range_bins.tolist() == [20]
-    assert cands.ranges_m[0] == pytest.approx(1.0)
-    assert cands.velocities_mps[0] == pytest.approx(
-        37 * config.velocity_resolution_mps
-    )
-    assert cands.azimuths_rad[0] == pytest.approx(math.radians(30.0))
-    assert cands.elevations_rad[0] == pytest.approx(0.0, abs=1e-12)
+    cands = detect_points(_grid(az, el, first_range_bin=18), config)
+    assert _quads(cands) == [(20, 101, 25, 15)]
     # a full map's last range bin, and the bin a 2.0 m/s target wraps onto
     # past the +-1.742 m/s span
     az, el = _factors((64, 128, 31), {(63, 9, 15, 15): 1.0})
-    cands = detect_points(_grid(az, el, config), config)
-    assert cands.range_bins.tolist() == [63]
-    assert cands.ranges_m[0] == pytest.approx(3.15)
-    assert cands.velocities_mps[0] == -55 * config.velocity_resolution_mps
-    assert cands.velocities_mps[0] == pytest.approx(-1.4971689895470384)
+    assert _quads(detect_points(_grid(az, el), config)) == [(63, 9, 15, 15)]
+
+    # the cloud reads the same bins off the config's lattice: a source
+    # steered onto azimuth beam 25 ...
+    cells = np.zeros((64, 128, 3), dtype=complex)
+    cells[20, 101] = [1.0, dbf_weights(config)[1, 25], 1.0]
+    cloud = extract_point_cloud(_rd(cells), poses[1], config)
+    best = int(np.argmax(cloud.energies))
+    assert cloud.ranges_m[best] == pytest.approx(1.0)
+    assert cloud.velocities_mps[best] == pytest.approx(
+        37 * config.velocity_resolution_mps
+    )
+    assert cloud.azimuths_rad[best] == pytest.approx(math.radians(30.0))
+    assert cloud.elevations_rad[best] == pytest.approx(0.0, abs=1e-12)
+    # ... and the last range bin at the wrapped Doppler bin, in a gate
+    # that reaches it
+    cells = np.zeros((64, 128, 3), dtype=complex)
+    cells[63, 9] = 1.0
+    far = dataclasses.replace(config, gate_bounds_m=((3.0, 3.2),))
+    cloud = extract_point_cloud(_rd(cells), poses[1], far)
+    best = int(np.argmax(cloud.energies))
+    assert cloud.ranges_m[best] == pytest.approx(3.15)
+    assert cloud.velocities_mps[best] == -55 * config.velocity_resolution_mps
+    assert cloud.velocities_mps[best] == pytest.approx(-1.4971689895470384)
 
 
 # --- selection ---------------------------------------------------------------
@@ -432,10 +440,6 @@ def _make_candidates(velocities, energies, ranges=None, view="right", gate="uppe
         doppler_bins=dop,
         azimuth_bins=np.zeros(n, dtype=int),
         elevation_bins=np.zeros(n, dtype=int),
-        ranges_m=rng_bins * 0.05,
-        velocities_mps=v,
-        azimuths_rad=np.zeros(n),
-        elevations_rad=np.zeros(n),
         energies=np.asarray(energies, dtype=float),
         view=view,
         gate=gate,
@@ -468,8 +472,7 @@ def test_selection_tie_break_prefers_energy_then_range(config):
 
 
 _CANDIDATE_COLUMNS = (
-    "range_bins", "doppler_bins", "azimuth_bins", "elevation_bins", "ranges_m",
-    "velocities_mps", "azimuths_rad", "elevations_rad", "energies",
+    "range_bins", "doppler_bins", "azimuth_bins", "elevation_bins", "energies",
 )
 
 
@@ -558,30 +561,6 @@ def test_projection_direction_convention(config):
     )
 
 
-def test_stacked_projection_raises_the_one_point_errors(config, poses):
-    from mmvc.spatial import _project_candidates
-
-    cands = _make_candidates([0.1, 0.2, 0.3], [1.0, 1.0, 1.0], ranges=[10, 11, 12])
-    wide = dataclasses.replace(
-        cands, azimuths_rad=np.array([0.0, math.radians(46.0), 0.0])
-    )
-    behind = dataclasses.replace(cands, ranges_m=np.array([0.5, 0.5, -0.1]))
-    both = dataclasses.replace(wide, ranges_m=behind.ranges_m)
-    # the first offending row, checked range first, names the error
-    for bad, row in [(wide, 1), (behind, 2), (both, 1)]:
-        with pytest.raises(ValueError) as one_point:
-            project_to_cartesian(
-                float(bad.ranges_m[row]),
-                float(bad.azimuths_rad[row]),
-                float(bad.elevations_rad[row]),
-                poses[1],
-                max_angle_rad=config.max_steer_rad,
-            )
-        with pytest.raises(ValueError) as stacked:
-            _project_candidates(bad, poses[1], config)
-        assert str(stacked.value) == str(one_point.value)
-
-
 # --- full extraction ---------------------------------------------------------
 
 
@@ -592,7 +571,7 @@ def test_extraction_budget_is_64_per_gate(config, poses):
     )
     cells[11, 70] *= 400.0
     cloud = extract_point_cloud(
-        _rd(cells, config), poses[1], config
+        _rd(cells), poses[1], config
     )
     assert len(cloud) == 128
     assert np.count_nonzero(cloud.gate_codes == 0) == 64  # upper
@@ -601,7 +580,7 @@ def test_extraction_budget_is_64_per_gate(config, poses):
 
 def test_extraction_of_silent_map_is_all_sentinels(config, poses):
     cloud = extract_point_cloud(
-        _rd(np.zeros((64, 128, 3)), config), poses[1], config
+        _rd(np.zeros((64, 128, 3))), poses[1], config
     )
     assert len(cloud) == 128
     assert cloud.pad_count == 128
@@ -617,7 +596,7 @@ def test_extraction_of_silent_map_is_all_sentinels(config, poses):
 def test_extraction_marks_pad_rows(config, poses):
     cells = np.zeros((64, 128, 3), dtype=complex)
     cells[11, 70] = [1.0, 1.0, 1.0]  # a single broadside detection
-    cloud = extract_point_cloud(_rd(cells, config), poses[1], config)
+    cloud = extract_point_cloud(_rd(cells), poses[1], config)
     upper = cloud.gate_codes == 0
     real = cloud.energies[upper & ~cloud.is_pad]
     pads = cloud.energies[upper & cloud.is_pad]
@@ -630,7 +609,7 @@ def test_extraction_marks_pad_rows(config, poses):
 def test_extraction_keeps_sensor_relative_measurements(config, poses):
     cells = np.zeros((64, 128, 3), dtype=complex)
     cells[20, 101] = [1.0, 1.0, 1.0]
-    cloud = extract_point_cloud(_rd(cells, config), poses[1], config)
+    cloud = extract_point_cloud(_rd(cells), poses[1], config)
     best = int(np.argmax(cloud.energies))
     assert cloud.ranges_m[best] == pytest.approx(1.0)
     assert cloud.velocities_mps[best] == pytest.approx(
@@ -643,7 +622,7 @@ def test_extraction_keeps_sensor_relative_measurements(config, poses):
 
 
 def test_extraction_rejects_unknown_view(config, poses):
-    rd = _rd(np.zeros((64, 128, 3)), config, view="top")
+    rd = _rd(np.zeros((64, 128, 3)), view="top")
     with pytest.raises(ValueError, match="unknown view tag 'top'"):
         extract_point_cloud(rd, poses[1], config)
 
@@ -651,7 +630,6 @@ def test_extraction_rejects_unknown_view(config, poses):
 def test_extraction_passes_timestamp_and_view(config, poses):
     rd = _rd(
         np.zeros((64, 128, 3)),
-        config,
         view="left",
         calibrated_timestamp_ns=987654321,
     )
@@ -669,10 +647,10 @@ def test_extraction_passes_timestamp_and_view(config, poses):
 # chain must reproduce it bit for bit.
 
 
-def _zero_filled_gate(rd, bounds_m, tag=""):
+def _zero_filled_gate(rd, bounds_m, config, tag=""):
     """``range_gate`` before bands: zero every cell outside the gate."""
     first, last = gate_bin_interval(
-        bounds_m, rd.range_bin_width_m, rd.cells.shape[0]
+        bounds_m, config.range_resolution_m, rd.cells.shape[0]
     )
     out = np.zeros_like(rd.cells)
     out[first : last + 1] = rd.cells[first : last + 1]
@@ -692,8 +670,6 @@ def _scanned_beamform(rd, weights, config):
         azimuth_magnitudes=np.abs(corner + sub[:, :, 1, None] * w1c),
         elevation_magnitudes=np.abs(corner + sub[:, :, 2, None] * w1c),
         gate=rd.gate or "",
-        range_bin_width_m=rd.range_bin_width_m,
-        velocity_bin_width_mps=rd.velocity_bin_width_mps,
         view=rd.view,
         first_range_bin=first,
     )
@@ -725,18 +701,11 @@ def _reference_candidates(rd, weights, config):
     sub = mags[live_r, live_d]
     sub_mask = sub > threshold
     cell, a, e = np.nonzero(sub_mask)
-    r = live_r[cell]
-    d = live_d[cell]
-    angles = np.asarray(tuple(config.beam_angles_rad))
     return mags, Candidates(
-        range_bins=r,
-        doppler_bins=d,
+        range_bins=live_r[cell],
+        doppler_bins=live_d[cell],
         azimuth_bins=a,
         elevation_bins=e,
-        ranges_m=r * rd.range_bin_width_m,
-        velocities_mps=(d - n_d // 2) * rd.velocity_bin_width_mps,
-        azimuths_rad=angles[a],
-        elevations_rad=angles[e],
         energies=sub[sub_mask],
         view=view,
         gate=gate,
@@ -749,7 +718,7 @@ def _reference_points(rd, poses, config, weights):
     clouds = [[] for _ in poses]
     view_code = VIEWS.index(rd.view)
     for i, bounds in enumerate(config.gate_bounds_m):
-        gated = _zero_filled_gate(rd, bounds, gate_tag(i))
+        gated = _zero_filled_gate(rd, bounds, config, gate_tag(i))
         _, cands = _reference_candidates(gated, weights, config)
         selected, pad_count = select_by_velocity(cands, config)
         if len(selected) == 0:
@@ -758,23 +727,31 @@ def _reference_points(rd, poses, config, weights):
                 points.extend([sentinel] * (2 * config.point_budget))
             continue
         n_real = len(selected) - pad_count
+        # bins to units, read off the config's lattice
+        ranges = selected.range_bins * config.range_resolution_m
+        velocities = (
+            selected.doppler_bins - config.chirps_per_frame // 2
+        ) * config.velocity_resolution_mps
+        angles = np.asarray(tuple(config.beam_angles_rad))
+        azimuths = angles[selected.azimuth_bins]
+        elevations = angles[selected.elevation_bins]
         for pose, points in zip(poses, clouds):
             for k in range(len(selected)):
                 position = project_to_cartesian(
-                    float(selected.ranges_m[k]),
-                    float(selected.azimuths_rad[k]),
-                    float(selected.elevations_rad[k]),
+                    float(ranges[k]),
+                    float(azimuths[k]),
+                    float(elevations[k]),
                     pose,
                     max_angle_rad=config.max_steer_rad,
                 )
                 points.append(
                     (
                         tuple(float(v) for v in position),
-                        float(selected.velocities_mps[k]),
+                        float(velocities[k]),
                         float(selected.energies[k]),
-                        float(selected.ranges_m[k]),
-                        float(selected.azimuths_rad[k]),
-                        float(selected.elevations_rad[k]),
+                        float(ranges[k]),
+                        float(azimuths[k]),
+                        float(elevations[k]),
                         view_code,
                         i,
                         k >= n_real,
@@ -803,7 +780,7 @@ def equivalence_maps(config, poses):
         cells = noise()
         for _ in range(3):
             cells[rng.integers(shape[0]), rng.integers(shape[1])] *= rng.uniform(5, 50)
-        maps.append(_rd(cells, config))
+        maps.append(_rd(cells))
     gates = [
         gate_bin_interval(b, config.range_resolution_m, shape[0])
         for b in config.gate_bounds_m
@@ -815,7 +792,7 @@ def equivalence_maps(config, poses):
         # the first two silence a whole gate; the rest hole it, edges included
         count = len(rows) if k < 2 else int(rng.integers(1, len(rows)))
         cells[rng.choice(rows, size=count, replace=False)] = 0.0
-        maps.append(_rd(cells, config, view="left" if k % 3 else "right"))
+        maps.append(_rd(cells, view="left" if k % 3 else "right"))
     scene = ScatterScene(
         scatterers=(
             Scatterer(
@@ -852,9 +829,9 @@ def test_factored_detection_matches_full_field(config, equivalence_maps):
     checked = 0
     for rd in equivalence_maps:
         for i, bounds in enumerate(config.gate_bounds_m):
-            filled = _zero_filled_gate(rd, bounds, gate_tag(i))
+            filled = _zero_filled_gate(rd, bounds, config, gate_tag(i))
             ref_mags, ref = _reference_candidates(filled, weights, config)
-            grid = beamform(range_gate(rd, bounds, gate_tag(i)), weights, config)
+            grid = beamform(range_gate(rd, bounds, config, gate_tag(i)), weights, config)
             field = grid.magnitudes
             assert _same_bits(field, ref_mags[: len(field)])
             assert not ref_mags[len(field) :].any()
@@ -932,7 +909,7 @@ def test_band_extraction_matches_zero_filled_scan(config, poses, first, extent, 
         head, tail = _EDGES[edges]
         cells[first : first + head] = 0.0
         cells[end + 1 - tail : end + 1] = 0.0
-    rd = _rd(cells, config, view="left")
+    rd = _rd(cells, view="left")
     cfg = dataclasses.replace(config, gate_bounds_m=(bounds,))
     weights = dbf_weights(config)
 
