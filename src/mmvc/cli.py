@@ -180,14 +180,21 @@ def _write_truth_csv(path: Path, session) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _frames_in(duration: float, config: RadarConfig) -> int:
+    """Frames ``simulate_session`` makes for ``duration``; raises when none."""
+    frames = round(duration / config.frame_period_s)
+    if not frames:
+        raise ConfigError(
+            f"--duration {duration} s holds no {config.frame_period_s} s frame"
+        )
+    return frames
+
+
 def _cmd_simulate(args) -> int:
     scene_path = _require_file(args.scene, "scene file")
     scene = load_scene(scene_path)
     config = _apply_config_overrides(_load_or_default_config(args.config), args)
-    if not round(args.duration / config.frame_period_s):
-        raise ConfigError(
-            f"--duration {args.duration} s holds no {config.frame_period_s} s frame"
-        )
+    _frames_in(args.duration, config)
     poses = default_pose_pair()
     session = simulate_session(scene, poses, config, args.duration, seed=args.seed)
 
@@ -285,6 +292,13 @@ def _cmd_verify(args) -> int:
     scene = load_scene(scene_path)
     config = _apply_config_overrides(_load_or_default_config(args.config), args)
     options = _options_from_args(args)
+    frames = _frames_in(args.duration, config)
+    if options.apply_mti and frames <= config.mti_history:
+        # score_recovery skips the motion filter's warm-up frames
+        raise ConfigError(
+            f"--duration {args.duration} s ends inside the "
+            f"{config.mti_history}-frame motion-filter warm-up"
+        )
     poses = default_pose_pair()
     session = simulate_session(scene, poses, config, args.duration, seed=args.seed)
 

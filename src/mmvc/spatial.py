@@ -6,10 +6,16 @@ pairs, relative-threshold detection, velocity-extreme selection down to
 the fixed point budget, and projection into the head frame.
 
 With one transmitter and three receivers the angle field is separable:
-the azimuth-pair response magnitude times the elevation-pair one. The
-chain keeps the two factors, swept over the gate's rows only, and
-detection forms their product only in cells whose peak clears the
-threshold, so the (range, Doppler, beam, beam) field is never built.
+the azimuth-pair response magnitude times the elevation-pair one, each
+``|c0 conj(w0) + ck conj(w1)|`` over the beams. After motion filtering
+almost every cell of a gate is noise, so detection first bounds each
+cell: by the triangle inequality no beam of a pair exceeds
+``|c0| max|w0| + |ck| max|w1|``. The exact factors of the cell with the
+largest bound give a lower bound L on the gate's peak, and only cells
+whose bound reaches L times the detection ratio (at most 1) can hold the
+peak or a detection. Beams are computed in those cells alone, with the
+expressions a full sweep uses, so the candidates are the full sweep's
+bit for bit; the (range, Doppler, beam, beam) field is never built.
 """
 from __future__ import annotations
 
@@ -33,6 +39,11 @@ from .types import (
 # Slack on the field-of-view bound, so beams computed at exactly
 # +-max_steer are not rejected for rounding.
 _FOV_TOL_RAD = 1e-9
+
+# Slack on each factor of a cell's beam bound: relative for rounding in
+# the exact path, absolute for rounding among subnormals.
+_BOUND_SLACK = 1.0 + 1e-9
+_TINY = np.finfo(float).tiny
 
 
 def energy_compensation(rd: RangeDopplerMap) -> RangeDopplerMap:
@@ -126,6 +137,30 @@ def dbf_weights(config: RadarConfig, offset_deg: float = 0.0) -> np.ndarray:
     return _weights_cached(config, math.radians(offset_deg))
 
 
+def _check_pairs(cells: np.ndarray, weights: np.ndarray, config: RadarConfig) -> None:
+    """Raise unless ``cells`` hold 3 channels and ``weights`` 2 rows of beams."""
+    if cells.shape[-1] != 3:
+        raise ValueError(
+            f"beamforming expects 3 channels (corner, azimuth, elevation), "
+            f"got {cells.shape[-1]}"
+        )
+    if weights.shape != (2, config.beam_count):
+        raise ValueError(
+            f"weights shape {weights.shape} does not match (2, {config.beam_count})"
+        )
+
+
+def _pair_factors(cells: np.ndarray, weights: np.ndarray) -> tuple:
+    """Azimuth- and elevation-pair response magnitudes of ``cells``
+    (..., channel), each indexed (..., beam)."""
+    corner = cells[..., 0, None] * np.conj(weights[0])
+    w1c = np.conj(weights[1])
+    return (
+        np.abs(corner + cells[..., 1, None] * w1c),
+        np.abs(corner + cells[..., 2, None] * w1c),
+    )
+
+
 def beamform(
     rd: RangeDopplerMap,
     weights: np.ndarray,
@@ -140,24 +175,15 @@ def beamform(
     positive beam. The detection field is the product of the two
     pairs' response magnitudes over (azimuth beam, elevation beam); the
     grid holds the two magnitude factors, not their product. Every row
-    of the given map is swept, so a gated band costs only its own rows,
-    and the grid starts at the map's ``first_range_bin``.
+    of the given map is swept, and the grid starts at the map's
+    ``first_range_bin``. The chain itself detects with ``detect_points``,
+    which sweeps only the cells that can hold a detection.
     """
-    cells = rd.cells
-    if cells.shape[2] != 3:
-        raise ValueError(
-            f"beamforming expects 3 channels (corner, azimuth, elevation), "
-            f"got {cells.shape[2]}"
-        )
-    if weights.shape != (2, config.beam_count):
-        raise ValueError(
-            f"weights shape {weights.shape} does not match (2, {config.beam_count})"
-        )
-    corner = cells[:, :, 0, None] * np.conj(weights[0])
-    w1c = np.conj(weights[1])
+    _check_pairs(rd.cells, weights, config)
+    az, el = _pair_factors(rd.cells, weights)
     return BeamGrid(
-        azimuth_magnitudes=np.abs(corner + cells[:, :, 1, None] * w1c),
-        elevation_magnitudes=np.abs(corner + cells[:, :, 2, None] * w1c),
+        azimuth_magnitudes=az,
+        elevation_magnitudes=el,
         gate=rd.gate or "",
         view=rd.view,
         first_range_bin=rd.first_range_bin,
@@ -199,40 +225,71 @@ class Candidates:
         )
 
 
-def detect_points(grid: BeamGrid, config: RadarConfig) -> Candidates:
-    """Keep cells within ``detect_threshold_db`` of the grid's peak.
+def detect_points(
+    band: RangeDopplerMap, weights: np.ndarray, config: RadarConfig
+) -> Candidates:
+    """Beamform a gate's band and keep the beams within
+    ``detect_threshold_db`` of its peak.
 
-    The reference is the peak magnitude of the given (already gated)
-    grid, so detection is insensitive to absolute scale. A cell is kept
-    when 20*log10(magnitude / peak) exceeds the threshold; an all-zero
-    grid yields no candidates. Candidates come out in row-major
-    (range, Doppler, azimuth beam, elevation beam) order.
+    The reference is the peak of the band's own field, so detection is
+    insensitive to absolute scale. A beam is kept when its field value
+    exceeds peak * 10^(threshold/20); an all-zero band yields no
+    candidates. Candidates come out in row-major (range, Doppler,
+    azimuth beam, elevation beam) order, with range bins counted from
+    the band's ``first_range_bin``.
 
-    A (range, Doppler) cell's peak is max(azimuth) * max(elevation):
-    rounding a product of non-negative floats is monotone in each
-    factor, so this equals the maximum of the products exactly. The
-    per-beam products are formed only in cells whose peak clears the
-    threshold.
+    Beams are computed only where they can matter. Each factor of a
+    cell is bounded by |c0| max|w0| + |ck| max|w1| (triangle inequality;
+    the row maxima make it hold for any weights), times 1 + 1e-9 plus
+    the smallest normal float, so rounding in the exact path, subnormal
+    included, never exceeds it; rounding a product of non-negative
+    floats is monotone, so the product of the two factor bounds bounds
+    every beam of the cell. The exact peak of the cell with the largest
+    bound is a lower bound L on the band's peak, and cells whose bound
+    falls below L * min(1, 10^(threshold/20)) can hold neither the peak
+    nor a detection. The rest are gathered and swept with
+    ``_pair_factors``, elementwise as a full sweep of the band would,
+    so the peak, the threshold and every kept product are the full
+    sweep's bit for bit.
+
+    A cell's peak is max(azimuth) * max(elevation), again by
+    monotonicity; the per-beam products are formed only in cells whose
+    peak clears the threshold.
     """
-    az = grid.azimuth_magnitudes
-    el = grid.elevation_magnitudes
-    cell_peak = az.max(axis=2) * el.max(axis=2) if az.size else np.zeros((0, 0))
-    peak = cell_peak.max() if cell_peak.size else 0.0
+    cells = band.cells
+    _check_pairs(cells, weights, config)
+    view, gate = band.view, band.gate or ""
+    reach = np.abs(weights).max(axis=1)
+    mags = np.abs(cells)
+    corner = mags[..., 0] * reach[0]
+    bound = ((corner + mags[..., 1] * reach[1]) * _BOUND_SLACK + _TINY) * (
+        (corner + mags[..., 2] * reach[1]) * _BOUND_SLACK + _TINY
+    )
+    if not bound.size or bound.max() <= 0.0:
+        return Candidates.empty(view, gate)
+    ratio = 10.0 ** (config.detect_threshold_db / 20.0)
+    top = np.unravel_index(np.argmax(bound), bound.shape)
+    az, el = _pair_factors(cells[top], weights)
+    cut = az.max() * el.max() * min(1.0, ratio)
+    rows, dopplers = np.nonzero(bound >= cut)
+    az, el = _pair_factors(cells[rows, dopplers], weights)
+    cell_peak = az.max(axis=1) * el.max(axis=1)
+    peak = cell_peak.max()
     if peak <= 0.0:
-        return Candidates.empty(grid.view, grid.gate)
-    threshold = peak * 10.0 ** (config.detect_threshold_db / 20.0)
-    live_r, live_d = np.nonzero(cell_peak > threshold)
-    sub = az[live_r, live_d, :, None] * el[live_r, live_d, None, :]
+        return Candidates.empty(view, gate)
+    threshold = peak * ratio
+    live = np.flatnonzero(cell_peak > threshold)
+    sub = az[live, :, None] * el[live, None, :]
     sub_mask = sub > threshold
     cell, a, e = np.nonzero(sub_mask)
     return Candidates(
-        range_bins=live_r[cell] + grid.first_range_bin,
-        doppler_bins=live_d[cell],
+        range_bins=rows[live[cell]] + band.first_range_bin,
+        doppler_bins=dopplers[live[cell]],
         azimuth_bins=a,
         elevation_bins=e,
         energies=sub[sub_mask],
-        view=grid.view,
-        gate=grid.gate,
+        view=view,
+        gate=gate,
     )
 
 
@@ -354,9 +411,9 @@ def extract_point_cloud(
     n = 2 * config.point_budget
     blocks = []
     for i, bounds in enumerate(config.gate_bounds_m):
-        gated = range_gate(rd, bounds, config, gate_tag(i))
-        grid = beamform(gated, weights, config)
-        selected, pad_count = select_by_velocity(detect_points(grid, config), config)
+        band = range_gate(rd, bounds, config, gate_tag(i))
+        cands = detect_points(band, weights, config)
+        selected, pad_count = select_by_velocity(cands, config)
         if len(selected):
             columns = _cloud_columns(selected, pose, config)
         else:  # no detections: all-zero pad rows

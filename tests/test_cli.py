@@ -464,13 +464,33 @@ def test_verify_fails_with_corrupted_beam_weights(tmp_path, capsys):
 
 
 def test_verify_is_neutral_without_reachable_truth(tmp_path, capsys):
+    # 10 frames, 5 of them past the motion filter's warm-up
     scene = tmp_path / "empty.txt"
     scene.write_text("decay off\n")
     code = main(
-        ["verify", "--scene", str(scene), "--duration", "0.3", "--seed", "0"]
+        ["verify", "--scene", str(scene), "--duration", "1.0", "--seed", "0"]
     )
     assert code == 0
     assert "no in-gate truth to evaluate (neutral)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("duration", ["0", "0.3", "0.5"])
+def test_verify_rejects_a_duration_with_nothing_to_score(tmp_path, capsys, duration):
+    # no frame at all, or every frame inside the 5-frame motion-filter
+    # warm-up that scoring skips: a neutral verdict would pass a run that
+    # scored nothing
+    scene = tmp_path / "mover.txt"
+    scene.write_text(MOVER_SCENE)
+    argv = ["verify", "--scene", str(scene), "--duration", duration, "--seed", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: --duration ")
+    if duration != "0":
+        # without the motion filter there is no warm-up to fall inside
+        assert main(argv + ["--no-mti"]) == 0
 
 
 # --- export ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Spatial chain: compensation, gating, beamforming, detection, selection."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CLOUD_COLUMNS
@@ -28,7 +29,7 @@ from mmvc import (
     simulate_session,
     spatial,
 )
-from mmvc.types import VIEWS, BeamGrid, RangeDopplerMap, gate_tag
+from mmvc.types import VIEWS, RangeDopplerMap, gate_tag
 
 
 def _rd(cells, view="right", **kwargs):
@@ -40,24 +41,27 @@ def _rd(cells, view="right", **kwargs):
     )
 
 
-def _grid(az, el, first_range_bin=0, view="right", gate="upper"):
-    return BeamGrid(
-        azimuth_magnitudes=np.asarray(az, dtype=float),
-        elevation_magnitudes=np.asarray(el, dtype=float),
-        gate=gate,
-        view=view,
-        first_range_bin=first_range_bin,
-    )
+def _picker(config):
+    """Weights that read the pair factors straight off the channels.
+
+    Beam 0 of both pairs takes the corner channel and beam 1 the pair's
+    own, every other beam is zero: a cell (x, y, z) of non-negative reals
+    has azimuth factor (x, y, 0, ...) and elevation factor (x, z, 0, ...),
+    exactly, so its field holds x*x, x*z, y*x and y*z on beams (0, 0),
+    (0, 1), (1, 0) and (1, 1).
+    """
+    w = np.zeros((2, config.beam_count), dtype=complex)
+    w[0, 0] = w[1, 1] = 1.0
+    return w
 
 
-def _factors(shape, peaks):
-    """(azimuth, elevation) factors with az[r, d, a] = value, el[r, d, e] = 1."""
-    az = np.zeros(shape)
-    el = np.zeros(shape)
-    for (r, d, a, e), value in peaks.items():
-        az[r, d, a] = value
-        el[r, d, e] = 1.0
-    return az, el
+def _band(shape, cells, first_range_bin=0, view="right", gate="upper"):
+    """A band of ``shape`` (rows, Doppler bins), zero but for the given
+    {(row, Doppler): (corner, azimuth, elevation)} cells."""
+    out = np.zeros(shape + (3,), dtype=complex)
+    for cell, channels in cells.items():
+        out[cell] = channels
+    return _rd(out, view=view, gate=gate, first_range_bin=first_range_bin)
 
 
 def _quads(cands):
@@ -325,15 +329,15 @@ def test_beam_lattice_is_one_read_only_array(config):
 
 
 def test_detection_keeps_within_3p5_db_of_peak(config):
-    az, el = _factors(
-        (4, 4, 31),
+    band = _band(
+        (4, 4),
         {
-            (0, 0, 0, 0): 1.0,  # reference peak
-            (1, 1, 5, 5): 0.7,  # -3.1 dB: kept
-            (2, 2, 9, 9): 0.5,  # -6.0 dB: dropped
+            (0, 0): (0.0, 1.0, 1.0),  # reference peak
+            (1, 1): (0.0, 0.7, 1.0),  # -3.1 dB: kept
+            (2, 2): (0.0, 0.5, 1.0),  # -6.0 dB: dropped
         },
     )
-    cands = detect_points(_grid(az, el), config)
+    cands = detect_points(band, _picker(config), config)
     kept = set(zip(cands.range_bins.tolist(), cands.doppler_bins.tolist()))
     assert kept == {(0, 0), (1, 1)}
     assert cands.energies.tolist() == [1.0, 0.7]
@@ -341,65 +345,72 @@ def test_detection_keeps_within_3p5_db_of_peak(config):
 
 def test_detection_is_strict_at_exact_threshold(config):
     at = 10.0 ** (config.detect_threshold_db / 20.0)  # the threshold for peak 1
-    az = np.zeros((3, 3, 31))
-    el = np.zeros((3, 3, 31))
-    az[0, 0, 0] = el[0, 0, 0] = 1.0
-    # a cell whose own peak sits exactly on the threshold
-    az[2, 2, 1] = at
-    el[2, 2, 1] = 1.0
-    # a cell that clears it, holding one product on it and one an ulp above
-    az[1, 1, 1] = at
-    az[1, 1, 2] = np.nextafter(at, np.inf)
-    el[1, 1, 1] = 1.0
-    cands = detect_points(_grid(az, el), config)
-    quads = _quads(cands)
-    assert quads == [(0, 0, 0, 0), (1, 1, 2, 1)]
+    band = _band(
+        (3, 3),
+        {
+            (0, 0): (0.0, 1.0, 1.0),
+            # a cell whose own peak sits exactly on the threshold
+            (2, 2): (0.0, at, 1.0),
+            # a cell that clears it, holding one product on it (beams
+            # (1, 1)) and one an ulp above (beams (0, 1))
+            (1, 1): (np.nextafter(at, np.inf), at, 1.0),
+        },
+    )
+    cands = detect_points(band, _picker(config), config)
+    assert _quads(cands) == [(0, 0, 1, 1), (1, 1, 0, 1)]
 
 
 def test_detection_order_is_row_major(config):
-    az = np.zeros((3, 3, 31))
-    el = np.zeros((3, 3, 31))
-    az[2, 1, 4] = el[2, 1, 4] = 1.0
-    # one cell peaking on beams 1 and 7 of both axes: the separable field
-    # also holds the (1, 1) and (7, 7) cross terms
-    az[0, 2, [1, 7]] = el[0, 2, [1, 7]] = 1.0
-    az[1, 0, 0] = el[1, 0, 0] = 1.0
-    cands = detect_points(_grid(az, el), config)
-    quads = _quads(cands)
-    assert quads == [
+    band = _band(
+        (3, 3),
+        {
+            (2, 1): (0.0, 1.0, 1.0),
+            # one cell holding all four products of the two beams of
+            # both axes
+            (0, 2): (1.0, 1.0, 1.0),
+            (1, 0): (1.0, 0.0, 0.0),
+        },
+    )
+    cands = detect_points(band, _picker(config), config)
+    assert _quads(cands) == [
+        (0, 2, 0, 0),
+        (0, 2, 0, 1),
+        (0, 2, 1, 0),
         (0, 2, 1, 1),
-        (0, 2, 1, 7),
-        (0, 2, 7, 1),
-        (0, 2, 7, 7),
         (1, 0, 0, 0),
-        (2, 1, 4, 4),
+        (2, 1, 1, 1),
     ]
 
 
 def test_detection_scales_with_grid(config):
-    az, el = _factors((2, 2, 31), {(0, 0, 0, 0): 1.0, (1, 1, 5, 5): 0.7})
-    big = detect_points(_grid(az * 1e6, el), config)
-    small = detect_points(_grid(az, el), config)
-    assert len(big) == len(small) == 2
+    # a power-of-two scale is exact, so only the energies move, by its square
+    band = _band((2, 2), {(0, 0): (0.0, 1.0, 1.0), (1, 1): (0.0, 0.7, 1.0)})
+    big = detect_points(
+        dataclasses.replace(band, cells=band.cells * 2.0**40), _picker(config), config
+    )
+    small = detect_points(band, _picker(config), config)
+    assert len(small) == 2
+    assert _quads(big) == _quads(small)
+    assert big.energies.tolist() == (small.energies * 2.0**80).tolist()
 
 
 def test_detection_of_empty_grid_yields_nothing(config):
-    for shape in [(2, 2, 31), (0, 128, 31)]:
-        cands = detect_points(_grid(np.zeros(shape), np.zeros(shape)), config)
+    for shape in [(2, 2), (0, 128)]:
+        cands = detect_points(_band(shape, {}), dbf_weights(config), config)
         assert len(cands) == 0
         assert cands.view == "right"
 
 
 def test_detection_converts_bins_to_physical_units(config, poses):
-    # detection reports bins: 12 stored rows from range bin 18, as the
-    # lower gate leaves them
-    az, el = _factors((12, 128, 31), {(2, 101, 25, 15): 1.0})
-    cands = detect_points(_grid(az, el, first_range_bin=18), config)
-    assert _quads(cands) == [(20, 101, 25, 15)]
+    # detection reports bins: 12 rows from range bin 18, as the lower
+    # gate leaves them
+    band = _band((12, 128), {(2, 101): (0.0, 1.0, 1.0)}, first_range_bin=18)
+    cands = detect_points(band, _picker(config), config)
+    assert _quads(cands) == [(20, 101, 1, 1)]
     # a full map's last range bin, and the bin a 2.0 m/s target wraps onto
     # past the +-1.742 m/s span
-    az, el = _factors((64, 128, 31), {(63, 9, 15, 15): 1.0})
-    assert _quads(detect_points(_grid(az, el), config)) == [(63, 9, 15, 15)]
+    band = _band((64, 128), {(63, 9): (0.0, 1.0, 1.0)})
+    assert _quads(detect_points(band, _picker(config), config)) == [(63, 9, 1, 1)]
 
     # the cloud reads the same bins off the config's lattice: a source
     # steered onto azimuth beam 25 ...
@@ -638,13 +649,15 @@ def test_extraction_passes_timestamp_and_view(config, poses):
     assert cloud.timestamp_ns == 987654321
 
 
-# --- equivalence with the full 4-D field -------------------------------------
+# --- equivalence with the full sweep and the full 4-D field ------------------
 #
-# The reference below gates by zero-filling a full-size copy of the map,
-# builds the (range, Doppler, az beam, el beam) field in full and scans it
-# for live rows, and projects one point at a time: the chain as it stood
-# before the field was kept as two factors and a gate became a band. The
-# chain must reproduce it bit for bit.
+# The references below sweep every beam of every cell of a band before
+# thresholding (the chain before detection pruned its cells), and gate by
+# zero-filling a full-size copy of the map, build the (range, Doppler,
+# az beam, el beam) field in full and scan it for live rows, and project
+# one point at a time (the chain before the field was kept as two
+# factors and a gate became a band). The chain must reproduce them bit
+# for bit.
 
 
 def _zero_filled_gate(rd, bounds_m, config, tag=""):
@@ -657,21 +670,33 @@ def _zero_filled_gate(rd, bounds_m, config, tag=""):
     return dataclasses.replace(rd, cells=out, gate=tag or rd.gate)
 
 
-def _scanned_beamform(rd, weights, config):
-    """``beamform`` before bands: sweep the first to the last non-zero row
-    (its input checks and the grid fields it no longer fills left out)."""
-    cells = rd.cells
-    live = np.flatnonzero(np.any(cells.reshape(cells.shape[0], -1) != 0, axis=1))
-    first, stop = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-    sub = cells[first:stop]
-    corner = sub[:, :, 0, None] * np.conj(weights[0])
+def _dense_detect(band, weights, config):
+    """``detect_points`` before pruning: ``beamform`` sweeps both pairs
+    over every cell of the band, then the factors are thresholded (the
+    input checks left out)."""
+    cells = band.cells
+    corner = cells[:, :, 0, None] * np.conj(weights[0])
     w1c = np.conj(weights[1])
-    return BeamGrid(
-        azimuth_magnitudes=np.abs(corner + sub[:, :, 1, None] * w1c),
-        elevation_magnitudes=np.abs(corner + sub[:, :, 2, None] * w1c),
-        gate=rd.gate or "",
-        view=rd.view,
-        first_range_bin=first,
+    az = np.abs(corner + cells[:, :, 1, None] * w1c)
+    el = np.abs(corner + cells[:, :, 2, None] * w1c)
+    view, gate = band.view, band.gate or ""
+    cell_peak = az.max(axis=2) * el.max(axis=2) if az.size else np.zeros((0, 0))
+    peak = cell_peak.max() if cell_peak.size else 0.0
+    if peak <= 0.0:
+        return Candidates.empty(view, gate)
+    threshold = peak * 10.0 ** (config.detect_threshold_db / 20.0)
+    live_r, live_d = np.nonzero(cell_peak > threshold)
+    sub = az[live_r, live_d, :, None] * el[live_r, live_d, None, :]
+    sub_mask = sub > threshold
+    cell, a, e = np.nonzero(sub_mask)
+    return Candidates(
+        range_bins=live_r[cell] + band.first_range_bin,
+        doppler_bins=live_d[cell],
+        azimuth_bins=a,
+        elevation_bins=e,
+        energies=sub[sub_mask],
+        view=view,
+        gate=gate,
     )
 
 
@@ -824,6 +849,83 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_same_candidates(new, old):
+    for f in dataclasses.fields(Candidates):
+        a, b = getattr(new, f.name), getattr(old, f.name)
+        if isinstance(b, np.ndarray):
+            assert _same_bits(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+# Cells of a drawn band: noise with a share of them zeroed, or every cell
+# equal (a dense band, where no cell can be pruned).
+_FILLS = {"noise": 0.0, "half zero": 0.5, "sparse": 0.95, "zero": 1.0, "equal": None}
+
+
+@settings(max_examples=300)
+@given(
+    rows=st.integers(0, 12),
+    dopplers=st.integers(1, 24),
+    fill=st.sampled_from(sorted(_FILLS)),
+    strong=st.integers(0, 3),
+    first=st.integers(0, 40),
+    scale=st.sampled_from((1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e150, 1e300)),
+    offset_deg=st.floats(-10.0, 10.0),
+    weights=st.sampled_from(("steered", "row gains", "random")),
+    threshold_db=st.floats(-40.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # an all-zero band
+    rows=12, dopplers=24, fill="zero", strong=0, first=18, scale=1.0,
+    offset_deg=0.0, weights="steered", threshold_db=-3.5, seed=0,
+)
+@example(  # a one-cell band
+    rows=1, dopplers=1, fill="noise", strong=0, first=5, scale=1.0,
+    offset_deg=0.0, weights="steered", threshold_db=-3.5, seed=1,
+)
+@example(  # an all-equal dense band
+    rows=12, dopplers=24, fill="equal", strong=0, first=18, scale=1.0,
+    offset_deg=0.0, weights="steered", threshold_db=-3.5, seed=2,
+)
+def test_pruned_detection_matches_dense_sweep(
+    config, rows, dopplers, fill, strong, first, scale, offset_deg, weights,
+    threshold_db, seed,
+):
+    rng = np.random.default_rng(seed)
+    shape = (rows, dopplers, 3)
+    cells = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if _FILLS[fill] is None:
+        cells[:] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    else:
+        cells[rng.random((rows, dopplers)) < _FILLS[fill]] = 0.0
+        for _ in range(strong if rows else 0):
+            cells[rng.integers(rows), rng.integers(dopplers)] *= rng.uniform(5, 50)
+    band = _rd(cells * scale, view="left", gate="lower", first_range_bin=first)
+    w = np.array(dbf_weights(config, offset_deg=offset_deg))
+    if weights == "row gains":  # non-unit magnitudes
+        w *= rng.uniform(0.1, 3.0, w.shape) * np.exp(1j * rng.uniform(0, 2 * np.pi, w.shape))
+    elif weights == "random":
+        w = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
+    cfg = dataclasses.replace(config, detect_threshold_db=threshold_db)
+    with np.errstate(over="ignore"):  # fields past 1e308 are inf on both paths
+        _assert_same_candidates(detect_points(band, w, cfg), _dense_detect(band, w, cfg))
+
+
+def test_detection_checks_its_inputs(config, poses):
+    channels = "beamforming expects 3 channels (corner, azimuth, elevation), got 2"
+    shape = "weights shape (2, 7) does not match (2, 31)"
+    two_channels = _rd(np.zeros((64, 4, 2)))
+    with pytest.raises(ValueError, match=re.escape(channels)):
+        detect_points(two_channels, dbf_weights(config), config)
+    with pytest.raises(ValueError, match=re.escape(channels)):
+        extract_point_cloud(two_channels, poses[1], config)
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        detect_points(_rd(np.zeros((4, 4, 3))), np.ones((2, 7)), config)
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        extract_point_cloud(_rd(np.zeros((64, 4, 3))), poses[1], config, np.ones((2, 7)))
+
+
 def test_factored_detection_matches_full_field(config, equivalence_maps):
     weights = dbf_weights(config)
     checked = 0
@@ -831,17 +933,11 @@ def test_factored_detection_matches_full_field(config, equivalence_maps):
         for i, bounds in enumerate(config.gate_bounds_m):
             filled = _zero_filled_gate(rd, bounds, config, gate_tag(i))
             ref_mags, ref = _reference_candidates(filled, weights, config)
-            grid = beamform(range_gate(rd, bounds, config, gate_tag(i)), weights, config)
-            field = grid.magnitudes
+            band = range_gate(rd, bounds, config, gate_tag(i))
+            field = beamform(band, weights, config).magnitudes
             assert _same_bits(field, ref_mags[: len(field)])
             assert not ref_mags[len(field) :].any()
-            cands = detect_points(grid, config)
-            for f in dataclasses.fields(Candidates):
-                new, old = getattr(cands, f.name), getattr(ref, f.name)
-                if isinstance(old, np.ndarray):
-                    assert _same_bits(new, old), f.name
-                else:
-                    assert new == old, f.name
+            _assert_same_candidates(detect_points(band, weights, config), ref)
             checked += len(ref)
     assert checked > 0
 
@@ -916,7 +1012,7 @@ def test_band_extraction_matches_zero_filled_scan(config, poses, first, extent, 
     cloud = extract_point_cloud(rd, poses[0], cfg, weights=weights)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spatial, "range_gate", _zero_filled_gate)
-        mp.setattr(spatial, "beamform", _scanned_beamform)
+        mp.setattr(spatial, "detect_points", _dense_detect)
         ref = extract_point_cloud(rd, poses[0], cfg, weights=weights)
     for name in CLOUD_COLUMNS:
         assert _same_bits(getattr(cloud, name), getattr(ref, name)), name
