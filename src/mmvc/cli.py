@@ -41,12 +41,7 @@ from .pipeline import (
 from .rdmap import ProcessingOptions, dump_tensor
 from .simulate import SceneFormatError, load_scene, simulate_session
 from .spatial import dbf_weights
-from .types import (
-    ConfigError,
-    RadarConfig,
-    default_pose_pair,
-    validate_config,
-)
+from .types import ConfigError, RadarConfig, default_pose_pair
 
 TRUTH_COLUMNS = (
     "frame",
@@ -81,16 +76,18 @@ def _parse_gates(text: str):
 
 def _load_or_default_config(path: str | None) -> RadarConfig:
     if path is None:
-        return validate_config(RadarConfig())
+        return RadarConfig()
     return load_config(path)
 
 
 def _apply_config_overrides(config: RadarConfig, args) -> RadarConfig:
+    # one replace, so bad --gates and --tau-ms are reported on one line
+    changes = {}
     if getattr(args, "gates", None):
-        config = dataclasses.replace(config, gate_bounds_m=_parse_gates(args.gates))
+        changes["gate_bounds_m"] = _parse_gates(args.gates)
     if getattr(args, "tau_ms", None) is not None:
-        config = dataclasses.replace(config, tau_s=args.tau_ms * 1e-3)
-    return validate_config(config)
+        changes["tau_s"] = args.tau_ms * 1e-3
+    return dataclasses.replace(config, **changes)
 
 
 def _check_numeric_flags(args) -> None:

@@ -29,7 +29,6 @@ from .types import (
     RadarConfig,
     VIEWS,
     gate_tag,
-    validate_config,
 )
 
 CAPTURE_MAGIC = b"MMVC"
@@ -140,7 +139,7 @@ def read_capture(path) -> Capture:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CaptureFormatError(f"bad capture metadata: {exc}") from None
         try:
-            config = validate_config(RadarConfig.from_dict(meta["config"]))
+            config = RadarConfig.from_dict(meta["config"])
         except (KeyError, TypeError, ConfigError) as exc:
             raise CaptureFormatError(f"bad embedded config: {exc}") from None
         clock_sample = None
@@ -207,7 +206,7 @@ def load_config(path) -> RadarConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config file must hold a key: value mapping")
     try:
-        return validate_config(RadarConfig.from_dict(data))
+        return RadarConfig.from_dict(data)
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

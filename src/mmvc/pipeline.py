@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fusion, rdmap, spatial
 from .rdmap import ProcessingOptions
-from .types import C_LIGHT, VIEWS, RadarConfig, default_pose_pair, validate_config
+from .types import C_LIGHT, VIEWS, RadarConfig, default_pose_pair
 
 
 class PipelineError(RuntimeError):
@@ -100,7 +100,6 @@ def run_pipeline(
     that survived pairing. Each pair is fused once, and the tensor
     stacks the fused clouds of the accepted windows.
     """
-    validate_config(config)
     _check_stream(left_frames, "left")
     _check_stream(right_frames, "right")
     if poses is None:

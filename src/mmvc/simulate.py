@@ -128,8 +128,6 @@ def synthesize_frame(
     sets the C heap limits (``_keep_frame_buffers_on_heap``).
     """
     _keep_frame_buffers_on_heap()
-    if config.rx_count != 3:
-        raise ValueError("synthesis assumes the 3-channel L-shaped array")
     ns_ = config.samples_per_chirp
     nc = config.chirps_per_frame
     lam = config.center_wavelength_m

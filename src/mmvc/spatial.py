@@ -28,7 +28,6 @@ import numpy as np
 
 from .types import (
     VIEWS,
-    BeamGrid,
     PointCloud,
     RadarConfig,
     RadarPose,
@@ -165,29 +164,22 @@ def beamform(
     rd: RangeDopplerMap,
     weights: np.ndarray,
     config: RadarConfig,
-) -> BeamGrid:
-    """Sweep both antenna pairs over the beam set; keep the two factors.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep both antenna pairs of every cell over the beam set.
 
     Channels are grouped as azimuth pair (0, 1) and elevation pair
     (0, 2) sharing the corner antenna. Each pair is combined by
     delay-and-sum with the conjugated steering weights, so a source
     with a positive inter-antenna phase ramp peaks on the matching
-    positive beam. The detection field is the product of the two
-    pairs' response magnitudes over (azimuth beam, elevation beam); the
-    grid holds the two magnitude factors, not their product. Every row
-    of the given map is swept, and the grid starts at the map's
-    ``first_range_bin``. The chain itself detects with ``detect_points``,
-    which sweeps only the cells that can hold a detection.
+    positive beam. Returns the two pairs' response magnitudes
+    (azimuth, elevation), each indexed (row, Doppler bin, beam); the
+    detection field at azimuth beam a and elevation beam e is
+    ``azimuth[..., a] * elevation[..., e]``. The chain itself detects
+    with ``detect_points``, which sweeps only the cells that can hold a
+    detection.
     """
     _check_pairs(rd.cells, weights, config)
-    az, el = _pair_factors(rd.cells, weights)
-    return BeamGrid(
-        azimuth_magnitudes=az,
-        elevation_magnitudes=el,
-        gate=rd.gate or "",
-        view=rd.view,
-        first_range_bin=rd.first_range_bin,
-    )
+    return _pair_factors(rd.cells, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,27 +401,22 @@ def extract_point_cloud(
     if weights is None:
         weights = dbf_weights(config)
     n = 2 * config.point_budget
-    blocks = []
+    blocks, pads = [], []
     for i, bounds in enumerate(config.gate_bounds_m):
         band = range_gate(rd, bounds, config, gate_tag(i))
         cands = detect_points(band, weights, config)
         selected, pad_count = select_by_velocity(cands, config)
         if len(selected):
-            columns = _cloud_columns(selected, pose, config)
+            blocks.append(_cloud_columns(selected, pose, config))
         else:  # no detections: all-zero pad rows
-            columns = (np.zeros((n, 3)),) + (np.zeros(n),) * 5
-        blocks.append(
-            PointCloud(
-                *columns,
-                view_codes=np.full(n, view_code),
-                gate_codes=np.full(n, i),
-                is_pad=np.arange(n) >= n - pad_count,
-                view=rd.view,
-                frame_index=rd.frame_index,
-            )
-        )
-    return PointCloud.concat(
-        blocks,
+            blocks.append((np.zeros((n, 3)),) + (np.zeros(n),) * 5)
+        pads.append(np.arange(n) >= n - pad_count)
+    gates = len(blocks)
+    return PointCloud(
+        *(np.concatenate(column) for column in zip(*blocks)),
+        view_codes=np.full(gates * n, view_code),
+        gate_codes=np.repeat(np.arange(gates), n),
+        is_pad=np.concatenate(pads),
         view=rd.view,
         frame_index=rd.frame_index,
         timestamp_ns=rd.calibrated_timestamp_ns,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,7 @@ class RadarConfig:
                 f"got {self.gate_bounds_m!r}"
             ) from None
         object.__setattr__(self, "gate_bounds_m", bounds)
+        validate_config(self)  # before a zero sweep centre can divide
         if self.antenna_spacing_m is None:
             object.__setattr__(
                 self, "antenna_spacing_m", self.center_wavelength_m / 2.0
@@ -240,11 +242,27 @@ def _positive_finite(value: float) -> bool:
 def validate_config(config: RadarConfig) -> RadarConfig:
     """Check every config invariant; return the config unchanged.
 
-    Raises ConfigError naming each offending field, on one line with the
-    violations joined by "; ". Validation is idempotent: a validated
-    config validates to an identical value.
+    ``RadarConfig`` runs this on construction. Raises ConfigError naming
+    each offending field, on one line with the violations joined by
+    "; ". Validation is idempotent: a validated config validates to an
+    identical value.
     """
+    # Kinds first, as the range checks compare: an integer where the
+    # default is one, a number elsewhere. The gate bounds are converted
+    # on construction, and a None spacing stands for the derived default.
     errs: list[str] = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        integral = isinstance(f.default, int)
+        if f.name == "gate_bounds_m" or (value is None and f.default is None):
+            continue
+        if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integral else numbers.Real
+        ):
+            kind = "an integer" if integral else "a number"
+            errs.append(f"{f.name}: must be {kind}, got {value!r}")
+    if errs:
+        raise ConfigError("; ".join(errs))
 
     if not _positive_finite(config.bandwidth_hz):
         errs.append("bandwidth_hz: must be positive and finite")
@@ -450,53 +468,6 @@ class RangeDopplerMap:
 
     def __post_init__(self) -> None:
         _freeze_array(self, "cells", self.cells, ndim=3)
-
-
-@dataclass(frozen=True, eq=False)
-class BeamGrid:
-    """Beamformed detection field, held as its two separable factors.
-
-    ``azimuth_magnitudes`` and ``elevation_magnitudes`` are the response
-    magnitudes of the azimuth pair (0, 1) and the elevation pair (0, 2),
-    each indexed (row, Doppler bin, beam); as in the map they were swept
-    from, row i is range bin ``first_range_bin + i``. The field at
-    (range, Doppler, az beam a, el beam e) is the azimuth factor at beam
-    a times the elevation factor at beam e of the same cell, and is zero
-    outside the stored rows; phase is consumed by the aggregation.
-    """
-
-    azimuth_magnitudes: np.ndarray
-    elevation_magnitudes: np.ndarray
-    gate: str
-    view: str
-    first_range_bin: int = 0
-
-    def __post_init__(self) -> None:
-        az = _freeze_array(self, "azimuth_magnitudes", self.azimuth_magnitudes, ndim=3)
-        el = _freeze_array(
-            self, "elevation_magnitudes", self.elevation_magnitudes, ndim=3
-        )
-        if az.shape != el.shape:
-            raise ValueError(
-                f"azimuth factor shape {az.shape} does not match "
-                f"elevation factor shape {el.shape}"
-            )
-        if self.first_range_bin < 0:
-            raise ValueError(f"negative first range bin {self.first_range_bin}")
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        """The full field indexed (range bin, Doppler, az beam, el beam).
-
-        Built on each access, from range bin 0 through the last stored
-        row; rows before ``first_range_bin`` are zero.
-        """
-        az, el = self.azimuth_magnitudes, self.elevation_magnitudes
-        n_r, n_d, n_b = az.shape
-        out = np.zeros((self.first_range_bin + n_r, n_d, n_b, n_b))
-        out[self.first_range_bin :] = az[:, :, :, None] * el[:, :, None, :]
-        out.setflags(write=False)
-        return out
 
 
 # (name, dtype) of each per-point column of a PointCloud, in field order.

@@ -615,14 +615,55 @@ def test_config_file_flows_through_simulate(tmp_path):
 
 def test_config_file_with_non_numeric_value_is_an_error(tmp_path, capsys):
     cfg_path = tmp_path / "radar.yaml"
-    cfg_path.write_text("beam_count: x\n")
+    # YAML 1.1 reads an exponent without a dot and a sign as text
+    cfg_path.write_text("beam_count: x\nbandwidth_hz: 3e9\n")
     scene = tmp_path / "scene.txt"
     scene.write_text(QUIET_SCENE)
     argv = ["simulate", "--scene", str(scene), "--config", str(cfg_path)]
     assert main(argv + ["--out", str(tmp_path / "cap")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: {cfg_path}: ")
+    assert err == [
+        f"error: {cfg_path}: bandwidth_hz: must be a number, got '3e9'; "
+        "beam_count: must be an integer, got 'x'"
+    ]
+
+
+def test_config_file_with_a_zero_sweep_is_one_error_line(tmp_path, capsys):
+    # the default spacing derives from the sweep centre: no division by zero
+    cfg_path = tmp_path / "radar.yaml"
+    cfg_path.write_text("start_freq_hz: 0\nend_freq_hz: 0\n")
+    scene = tmp_path / "scene.txt"
+    scene.write_text(QUIET_SCENE)
+    argv = ["simulate", "--scene", str(scene), "--config", str(cfg_path)]
+    assert main(argv + ["--out", str(tmp_path / "cap")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg_path}: start_freq_hz: must be positive and finite"]
+
+
+def test_commands_reject_a_zero_embedded_sweep(tmp_path, capsys):
+    cap = _simulate(tmp_path, duration="0.2")
+    # no spacing: the default derives from the sweep centre
+    zero_sweep = {"start_freq_hz": 0.0, "end_freq_hz": 0.0, "antenna_spacing_m": None}
+    for view in ("left", "right"):
+        for field, value in zero_sweep.items():
+            _embed(cap / f"{view}.mmvc", field, value)
+    export = ["export", "--capture", str(cap / "left.mmvc"), "--out", str(tmp_path / "e")]
+    for argv in (_process_argv(cap, tmp_path / "o"), export):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bad embedded config: start_freq_hz: must be positive and finite"]
+
+
+def test_two_bad_overrides_are_one_error_line(tmp_path, capsys):
+    cap = _simulate(tmp_path, duration="0.2")
+    capsys.readouterr()
+    argv = _process_argv(cap, tmp_path / "o") + ["--gates", "0.9:0.3", "--tau-ms", "nan"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: tau_s: must be positive and finite; "
+        "gate_bounds_m: gate bounds not increasing: (0.9, 0.3)"
+    ]
 
 
 def test_config_file_with_two_bad_fields_is_one_error_line(tmp_path, capsys):

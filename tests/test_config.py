@@ -34,14 +34,14 @@ def test_default_antenna_spacing_is_half_wavelength(config):
 
 
 def test_validate_collects_all_violations():
-    bad = RadarConfig(
-        samples_per_chirp=100,
-        beam_count=4,
-        mti_alpha=0.0,
-        gate_bounds_m=((0.9, 0.3),),
-    )
+    # a config is validated as it is built
     with pytest.raises(ConfigError) as err:
-        validate_config(bad)
+        RadarConfig(
+            samples_per_chirp=100,
+            beam_count=4,
+            mti_alpha=0.0,
+            gate_bounds_m=((0.9, 0.3),),
+        )
     msg = str(err.value)
     for field in ("samples_per_chirp", "beam_count", "mti_alpha", "gate_bounds_m"):
         assert field in msg
@@ -60,6 +60,22 @@ def test_validate_checks_bandwidth_consistency():
 def test_validate_rejects_gate_past_max_range():
     with pytest.raises(ConfigError, match="gate"):
         validate_config(RadarConfig(gate_bounds_m=((0.3, 0.9), (0.9, 4.0))))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("bandwidth_hz", "3e9", "bandwidth_hz: must be a number, got '3e9'"),
+        ("tau_s", None, "tau_s: must be a number, got None"),
+        ("mti_alpha", True, "mti_alpha: must be a number, got True"),
+        ("point_budget", 32.5, "point_budget: must be an integer, got 32.5"),
+        ("beam_count", "31", "beam_count: must be an integer, got '31'"),
+    ],
+)
+def test_validate_names_a_field_that_is_not_a_number(field, value, message):
+    with pytest.raises(ConfigError) as err:
+        RadarConfig(**{field: value})
+    assert str(err.value) == message
 
 
 def test_validate_returns_config_unchanged(config):

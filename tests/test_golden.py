@@ -99,8 +99,8 @@ def golden_digests(work: Path) -> dict:
         json.dumps(report, indent=2, sort_keys=True).encode()
     )
 
-    for view in ("left", "right"):
-        for fmt in ("csv", "tensor"):
+    for view, formats in (("left", ("csv", "ply", "tensor")), ("right", ("csv", "tensor"))):
+        for fmt in formats:
             out = work / f"export-{view}-{fmt}"
             _mmvc("export", "--capture", sim / f"{view}.mmvc", "--format", fmt, "--out", out)
             digests[f"export {view} --format {fmt}"] = _dir_digest(out)

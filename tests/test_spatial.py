@@ -251,14 +251,16 @@ def _steered_cells(config, az_rad, el_rad, r=11, d=70, amp=1.0):
     return cells
 
 
+def _field(rd, weights, config):
+    """The (row, Doppler, az beam, el beam) field of ``beamform``'s factors."""
+    az, el = beamform(rd, weights, config)
+    return az[..., :, None] * el[..., None, :]
+
+
 def test_beamform_peaks_on_matching_beam(config):
     az = math.radians(30.0)
-    grid = beamform(
-        _rd(_steered_cells(config, az, 0.0)), dbf_weights(config), config
-    )
-    r, d, a, e = np.unravel_index(
-        np.argmax(grid.magnitudes), grid.magnitudes.shape
-    )
+    field = _field(_rd(_steered_cells(config, az, 0.0)), dbf_weights(config), config)
+    r, d, a, e = np.unravel_index(np.argmax(field), field.shape)
     assert (r, d) == (11, 70)
     assert a == 25  # +30 deg on the 3-degree grid
     assert e == 15  # broadside
@@ -266,10 +268,8 @@ def test_beamform_peaks_on_matching_beam(config):
 
 def test_beamform_mirrored_source_lands_on_mirrored_beam(config):
     az = math.radians(-30.0)
-    grid = beamform(
-        _rd(_steered_cells(config, az, 0.0)), dbf_weights(config), config
-    )
-    a = np.argmax(grid.magnitudes[11, 70].max(axis=1))
+    field = _field(_rd(_steered_cells(config, az, 0.0)), dbf_weights(config), config)
+    a = np.argmax(field[11, 70].max(axis=1))
     assert a == 5
 
 
@@ -280,10 +280,8 @@ def test_beamform_recovers_every_grid_angle(config):
     angles = np.asarray(config.beam_angles_rad)
     for b in range(0, config.beam_count, 5):
         cells = _steered_cells(config, angles[b], angles[-1 - b])
-        grid = beamform(_rd(cells), w, config)
-        a, e = np.unravel_index(
-            np.argmax(grid.magnitudes[11, 70]), (31, 31)
-        )
+        field = _field(_rd(cells), w, config)
+        a, e = np.unravel_index(np.argmax(field[11, 70]), (31, 31))
         assert a == b
         assert e == config.beam_count - 1 - b
 
@@ -293,11 +291,13 @@ def test_beamform_is_product_of_pair_magnitudes(config):
     cells = np.zeros((64, 128, 3), dtype=complex)
     cells[5, 9] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w = dbf_weights(config)
-    grid = beamform(_rd(cells), w, config)
+    az_mags, el_mags = beamform(_rd(cells), w, config)
+    assert az_mags.shape == el_mags.shape == (64, 128, config.beam_count)
     c0, c1, c2 = cells[5, 9]
     az = np.abs(c0 * np.conj(w[0]) + c1 * np.conj(w[1]))
     el = np.abs(c0 * np.conj(w[0]) + c2 * np.conj(w[1]))
-    assert np.allclose(grid.magnitudes[5, 9], np.outer(az, el))
+    assert np.allclose(az_mags[5, 9], az) and np.allclose(el_mags[5, 9], el)
+    assert np.allclose(_field(_rd(cells), w, config)[5, 9], np.outer(az, el))
 
 
 def test_beamform_rejects_wrong_channel_count(config):
@@ -310,13 +310,6 @@ def test_beamform_rejects_wrong_weight_shape(config):
     cells = np.zeros((4, 4, 3), dtype=complex)
     with pytest.raises(ValueError, match="weights shape"):
         beamform(_rd(cells), np.ones((2, 7)), config)
-
-
-def test_beamform_carries_identity(config):
-    rd = _rd(np.zeros((4, 4, 3)), view="left", gate="lower")
-    grid = beamform(rd, dbf_weights(config), config)
-    assert grid.view == "left"
-    assert grid.gate == "lower"
 
 
 def test_beam_lattice_is_one_read_only_array(config):
@@ -934,9 +927,10 @@ def test_factored_detection_matches_full_field(config, equivalence_maps):
             filled = _zero_filled_gate(rd, bounds, config, gate_tag(i))
             ref_mags, ref = _reference_candidates(filled, weights, config)
             band = range_gate(rd, bounds, config, gate_tag(i))
-            field = beamform(band, weights, config).magnitudes
-            assert _same_bits(field, ref_mags[: len(field)])
-            assert not ref_mags[len(field) :].any()
+            field = _field(band, weights, config)
+            first, last = band.first_range_bin, band.first_range_bin + len(field)
+            assert _same_bits(field, ref_mags[first:last])
+            assert not ref_mags[:first].any() and not ref_mags[last:].any()
             _assert_same_candidates(detect_points(band, weights, config), ref)
             checked += len(ref)
     assert checked > 0
