@@ -222,21 +222,26 @@ def save_config(path, config: RadarConfig) -> None:
 
 
 def write_clouds_csv(path, clouds) -> None:
-    """Write clouds as CSV, one row per point, fixed column order."""
+    """Write clouds as CSV, one row per point, fixed column order.
+
+    Floats are written as ``repr`` (shortest round-trip). Each distinct
+    value is formatted once per cloud, keyed on its bit pattern so that
+    ``-0.0`` stays apart from ``0.0``; rows are then joined by column.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for cloud in clouds:
             t = cloud.timestamp_s
             lead = f"{cloud.frame_index},{repr(t) if t is not None else ''}"
             gate_tags = [gate_tag(g) for g in range(cloud.gate_codes.max(initial=-1) + 1)]
-            values = np.column_stack((
-                cloud.positions_m, cloud.velocities_mps, cloud.energies,
-                cloud.ranges_m, cloud.azimuths_rad, cloud.elevations_rad,
-            ))
-            views = [VIEWS[v] for v in cloud.view_codes.tolist()]
-            gates = [gate_tags[g] for g in cloud.gate_codes.tolist()]
-            for view, gate, row in zip(views, gates, values.tolist()):
-                fh.write(f"{lead},{view},{gate},{','.join(map(repr, row))}\n")
+            codes = zip(cloud.view_codes.tolist(), cloud.gate_codes.tolist())
+            heads = [f"{lead},{VIEWS[v]},{gate_tags[g]}" for v, g in codes]
+            values = np.vstack((cloud.positions_m.T, cloud.velocities_mps, cloud.energies,
+                                cloud.ranges_m, cloud.azimuths_rad, cloud.elevations_rad))
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            columns = texts[inverse.reshape(values.shape)].tolist()
+            fh.writelines(f"{row}\n" for row in map(",".join, zip(heads, *columns)))
 
 
 PLY_PROPERTIES = ("x", "y", "z", "velocity", "energy")

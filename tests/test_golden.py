@@ -90,7 +90,8 @@ def golden_digests(work: Path) -> dict:
     for name in ("left.mmvc", "right.mmvc", "truth.csv"):
         digests[f"simulate {name}"] = _file_digest(sim / name)
 
-    _mmvc("process", "--left", left, "--right", right, "--out", proc, "--window", WINDOW)
+    pair = ("--left", left, "--right", right, "--window", WINDOW)
+    _mmvc("process", *pair, "--out", proc)
     for name in ("features.mmft", "clouds.csv"):
         digests[f"process {name}"] = _file_digest(proc / name)
     report = json.loads((proc / "report.json").read_text(encoding="utf-8"))
@@ -98,6 +99,16 @@ def golden_digests(work: Path) -> dict:
     digests["process report.json without timing_ms"] = _sha256(
         json.dumps(report, indent=2, sort_keys=True).encode()
     )
+
+    out = work / "process-ply"
+    _mmvc("process", *pair, "--out", out, "--format", "ply")
+    digests["process --format ply"] = _dir_digest(out / "ply")
+    # the stage branches the default run does not take
+    for flags in (("--no-mti", "--no-compensation"), ("--mti-mode", "mean")):
+        out = work / ("process" + "".join(flags))
+        _mmvc("process", *pair, "--out", out, *flags)
+        for name in ("features.mmft", "clouds.csv"):
+            digests[f"process {' '.join(flags)} {name}"] = _file_digest(out / name)
 
     for view, formats in (("left", ("csv", "ply", "tensor")), ("right", ("csv", "tensor"))):
         for fmt in formats:

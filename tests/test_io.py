@@ -1,6 +1,7 @@
 """Capture, config, CSV and PLY file formats."""
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,66 @@ def test_csv_concatenates_multiple_clouds(tmp_path):
     write_clouds_csv(path, [_cloud(), _cloud(ts_ns=140_000_000)])
     lines = path.read_text().splitlines()
     assert len(lines) == 5
+
+
+def test_csv_keeps_the_sign_of_zero(tmp_path):
+    path = tmp_path / "clouds.csv"
+    zeros = [0.0, -0.0]
+    cloud = PointCloud(
+        positions_m=[(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)],
+        velocities_mps=zeros,
+        energies=zeros,
+        ranges_m=zeros,
+        azimuths_rad=zeros,
+        elevations_rad=zeros,
+        view_codes=[0, 1],
+        gate_codes=[0, 1],
+        is_pad=[False, True],
+        view=None,
+        frame_index=0,
+        timestamp_ns=0,
+    )
+    write_clouds_csv(path, [cloud])
+    assert path.read_text().splitlines()[1:] == [
+        "0,0.0,left,upper,0.0,-0.0,0.0,0.0,0.0,0.0,0.0,0.0",
+        "0,0.0,right,lower,-0.0,0.0,-0.0,-0.0,-0.0,-0.0,-0.0,-0.0",
+    ]
+
+
+def _random_cloud(rng, frame_index, n=256):
+    columns = rng.standard_normal((5, n))
+    return PointCloud(
+        positions_m=rng.standard_normal((n, 3)),
+        velocities_mps=columns[0],
+        energies=columns[1],
+        ranges_m=columns[2],
+        azimuths_rad=columns[3],
+        elevations_rad=columns[4],
+        view_codes=rng.integers(0, 2, n),
+        gate_codes=rng.integers(0, 2, n),
+        is_pad=np.zeros(n, dtype=bool),
+        view=None,
+        frame_index=frame_index,
+        timestamp_ns=frame_index * 100_000_000,
+    )
+
+
+def _csv_peak_bytes(path, clouds):
+    tracemalloc.start()
+    try:
+        write_clouds_csv(path, clouds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_cloud_count(tmp_path):
+    # the writer holds one cloud's rows at a time, never the whole file
+    rng = np.random.default_rng(16)
+    clouds = [_random_cloud(rng, k) for k in range(40)]
+    one = _csv_peak_bytes(tmp_path / "one.csv", clouds[:1])
+    forty = _csv_peak_bytes(tmp_path / "forty.csv", clouds)
+    assert forty <= 4 * one, (forty, one)
 
 
 def test_ply_header_and_payload(tmp_path):
