@@ -26,12 +26,15 @@ from .fusion import (
 from .io_files import (
     Capture,
     CaptureFormatError,
+    dump_tensor,
     load_config,
+    load_tensor,
     read_capture,
     save_config,
     write_capture,
     write_cloud_ply,
     write_clouds_csv,
+    write_truth_csv,
 )
 from .rdmap import (
     MtiState,
@@ -39,8 +42,6 @@ from .rdmap import (
     ProcessingOptions,
     clutter_removal,
     doppler_fft,
-    dump_tensor,
-    load_tensor,
     mti_filter,
     process_frame,
     range_fft,
@@ -49,6 +50,7 @@ from .simulate import (
     SceneFormatError,
     ScattererTruth,
     SimulatedSession,
+    frame_count,
     load_scene,
     parse_scene,
     scatterer_truth,
@@ -85,72 +87,3 @@ from .types import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignedWindow",
-    "C_LIGHT",
-    "Candidates",
-    "Capture",
-    "CaptureFormatError",
-    "ClockModel",
-    "ClockOffset",
-    "ConfigError",
-    "FrameCube",
-    "MtiState",
-    "MtiStateError",
-    "PairedFrame",
-    "PairingResult",
-    "PointCloud",
-    "ProcessingOptions",
-    "RadarConfig",
-    "RadarPose",
-    "RangeDopplerMap",
-    "ScatterScene",
-    "Scatterer",
-    "ScattererTruth",
-    "SceneFormatError",
-    "SimulatedSession",
-    "TensorFormatError",
-    "Trajectory",
-    "assemble_feature_tensor",
-    "beamform",
-    "calibrate_timestamps",
-    "cloud_feature_rows",
-    "clutter_removal",
-    "compute_offset",
-    "dbf_weights",
-    "default_pose_pair",
-    "detect_points",
-    "doppler_fft",
-    "dump_tensor",
-    "energy_compensation",
-    "extract_point_cloud",
-    "gate_bin_interval",
-    "gate_windows",
-    "load_config",
-    "load_scene",
-    "load_tensor",
-    "merge_views",
-    "mirror_pose",
-    "mti_filter",
-    "offset_from_clock_sample",
-    "pair_views",
-    "parse_scene",
-    "process_frame",
-    "project_to_cartesian",
-    "range_fft",
-    "range_gate",
-    "read_capture",
-    "read_feature_tensor",
-    "save_config",
-    "scatterer_truth",
-    "select_by_velocity",
-    "simulate_session",
-    "synthesize_frame",
-    "validate_config",
-    "write_capture",
-    "write_cloud_ply",
-    "write_clouds_csv",
-    "write_feature_tensor",
-    "__version__",
-]

@@ -25,36 +25,26 @@ import numpy as np
 from .fusion import write_feature_tensor
 from .io_files import (
     CaptureFormatError,
+    dump_tensor,
     load_config,
     read_capture,
     write_capture,
     write_cloud_ply,
     write_clouds_csv,
+    write_truth_csv,
 )
 from .pipeline import (
     PipelineError,
     calibrated_stream,
+    check_stream,
     frame_chain,
     run_pipeline,
     score_recovery,
 )
-from .rdmap import ProcessingOptions, dump_tensor
-from .simulate import SceneFormatError, load_scene, simulate_session
+from .rdmap import MTI_MODES, ProcessingOptions
+from .simulate import SceneFormatError, frame_count, load_scene, simulate_session
 from .spatial import dbf_weights
 from .types import ConfigError, RadarConfig, default_pose_pair
-
-TRUTH_COLUMNS = (
-    "frame",
-    "t",
-    "view",
-    "scatterer",
-    "range",
-    "radial_velocity",
-    "azimuth",
-    "elevation",
-    "amplitude",
-    "in_fov",
-)
 
 
 # --------------------------------------------------------------------------
@@ -83,9 +73,9 @@ def _load_or_default_config(path: str | None) -> RadarConfig:
 def _apply_config_overrides(config: RadarConfig, args) -> RadarConfig:
     # one replace, so bad --gates and --tau-ms are reported on one line
     changes = {}
-    if getattr(args, "gates", None):
+    if args.gates:
         changes["gate_bounds_m"] = _parse_gates(args.gates)
-    if getattr(args, "tau_ms", None) is not None:
+    if args.tau_ms is not None:
         changes["tau_s"] = args.tau_ms * 1e-3
     return dataclasses.replace(config, **changes)
 
@@ -101,10 +91,10 @@ def _check_numeric_flags(args) -> None:
 
 def _options_from_args(args) -> ProcessingOptions:
     return ProcessingOptions(
-        apply_mti=not getattr(args, "no_mti", False),
-        mti_mode=getattr(args, "mti_mode", "ema"),
-        apply_clutter_removal=not getattr(args, "no_clutter", False),
-        apply_compensation=not getattr(args, "no_compensation", False),
+        apply_mti=not args.no_mti,
+        mti_mode=args.mti_mode,
+        apply_clutter_removal=not args.no_clutter,
+        apply_compensation=not args.no_compensation,
     )
 
 
@@ -118,7 +108,7 @@ def _require_file(path: str, what: str) -> Path:
 def _add_stage_flags(sub):
     sub.add_argument("--no-mti", action="store_true", help="skip motion filtering")
     sub.add_argument(
-        "--mti-mode", choices=("ema", "mean"), default="ema",
+        "--mti-mode", choices=MTI_MODES, default="ema",
         help="background estimator for motion filtering",
     )
     sub.add_argument(
@@ -152,34 +142,9 @@ def _add_fusion_flags(sub):
 # simulate
 
 
-def _write_truth_csv(path: Path, session) -> None:
-    lines = [",".join(TRUTH_COLUMNS)]
-    for view in sorted(session.truth):
-        for idx, entries in enumerate(session.truth[view]):
-            t = session.truth_times_s[idx]
-            for truth in entries:
-                lines.append(
-                    ",".join(
-                        (
-                            str(idx),
-                            repr(t),
-                            view,
-                            str(truth.scatterer_index),
-                            repr(truth.range_m),
-                            repr(truth.radial_velocity_mps),
-                            repr(truth.azimuth_rad),
-                            repr(truth.elevation_rad),
-                            repr(truth.amplitude),
-                            "1" if truth.in_fov else "0",
-                        )
-                    )
-                )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _frames_in(duration: float, config: RadarConfig) -> int:
     """Frames ``simulate_session`` makes for ``duration``; raises when none."""
-    frames = round(duration / config.frame_period_s)
+    frames = frame_count(duration, config)
     if not frames:
         raise ConfigError(
             f"--duration {duration} s holds no {config.frame_period_s} s frame"
@@ -190,7 +155,7 @@ def _frames_in(duration: float, config: RadarConfig) -> int:
 def _cmd_simulate(args) -> int:
     scene_path = _require_file(args.scene, "scene file")
     scene = load_scene(scene_path)
-    config = _apply_config_overrides(_load_or_default_config(args.config), args)
+    config = _load_or_default_config(args.config)
     _frames_in(args.duration, config)
     poses = default_pose_pair()
     session = simulate_session(scene, poses, config, args.duration, seed=args.seed)
@@ -204,7 +169,7 @@ def _cmd_simulate(args) -> int:
             config,
             clock_sample=session.clock_samples[view],
         )
-    _write_truth_csv(out / "truth.csv", session)
+    write_truth_csv(out / "truth.csv", session)
     n = len(session.frames["left"])
     print(f"wrote {n} frames per view to {out} (seed {args.seed})")
     return 0
@@ -214,14 +179,6 @@ def _cmd_simulate(args) -> int:
 # process
 
 
-def _config_mismatch(left: RadarConfig, right: RadarConfig):
-    fields = []
-    for f in dataclasses.fields(RadarConfig):
-        if getattr(left, f.name) != getattr(right, f.name):
-            fields.append(f.name)
-    return fields
-
-
 def _load_capture_pair(args):
     left = read_capture(_require_file(args.left, "capture file"))
     right = read_capture(_require_file(args.right, "capture file"))
@@ -229,7 +186,8 @@ def _load_capture_pair(args):
         raise PipelineError(
             f"expected a left/right capture pair, got {left.view}/{right.view}"
         )
-    mismatch = _config_mismatch(left.config, right.config)
+    mismatch = [f.name for f in dataclasses.fields(RadarConfig)
+                if getattr(left.config, f.name) != getattr(right.config, f.name)]
     if mismatch:
         raise PipelineError(
             "capture configs disagree on: " + ", ".join(mismatch)
@@ -340,9 +298,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     capture = read_capture(_require_file(args.capture, "capture file"))
-    config = _apply_config_overrides(capture.config, args)
     options = _options_from_args(args)
     frames = calibrated_stream(capture.frames, capture.view, capture.clock_sample)
+    check_stream(frames, capture.view)
     pose = None
     if args.format != "tensor":
         pose = next(p for p in default_pose_pair() if p.view == capture.view)
@@ -350,7 +308,7 @@ def _cmd_export(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clouds = []
-    for frame, rd, cloud, _ in frame_chain(frames, config, options, pose):
+    for frame, rd, cloud, _ in frame_chain(frames, capture.config, options, pose):
         if cloud is None:
             dump_tensor(out / f"rd_{frame.frame_index:06d}.tensor", rd.cells)
         else:
@@ -376,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--duration", type=float, default=2.0, help="seconds of capture")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--gates", default=None, help=argparse.SUPPRESS)
     sim.set_defaults(func=_cmd_simulate)
 
     proc = sub.add_parser("process", help="run the pipeline on a capture pair")
@@ -409,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "ply", "tensor"), default="csv",
         help="csv/ply point clouds or raw range-Doppler tensors",
     )
-    exp.add_argument("--gates", default=None, help=argparse.SUPPRESS)
     _add_stage_flags(exp)
     exp.set_defaults(func=_cmd_export)
 

@@ -1,4 +1,5 @@
-"""File formats: binary captures, config files, CSV and PLY exports.
+"""File formats: binary captures, config files, CSV and PLY exports,
+the simulated truth CSV and debug tensor dumps.
 
 Every multi-byte value in the binary formats is little-endian. The
 capture layout is:
@@ -16,12 +17,14 @@ capture start; offset calibration works from it downstream.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
+from .fusion import TensorFormatError
 from .types import (
     ConfigError,
     FrameCube,
@@ -47,6 +50,19 @@ CSV_COLUMNS = (
     "range",
     "az",
     "el",
+)
+
+TRUTH_COLUMNS = (
+    "frame",
+    "t",
+    "view",
+    "scatterer",
+    "range",
+    "radial_velocity",
+    "azimuth",
+    "elevation",
+    "amplitude",
+    "in_fov",
 )
 
 
@@ -257,3 +273,50 @@ def write_cloud_ply(path, cloud: PointCloud) -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(vertices.astype("<f4").tobytes())
+
+
+# ---------------------------------------------------------------------------
+# simulated truth: one CSV row per (frame, view, scatterer)
+# ---------------------------------------------------------------------------
+
+
+def write_truth_csv(path, session) -> None:
+    """Write a simulated session's per-frame scatterer truth as CSV,
+    views in name order; floats as ``repr``, ``in_fov`` as 1 or 0."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(TRUTH_COLUMNS) + "\n")
+        for view in sorted(session.truth):
+            for idx, (t, entries) in enumerate(zip(session.truth_times_s, session.truth[view])):
+                for e in entries:
+                    floats = (e.range_m, e.radial_velocity_mps, e.azimuth_rad,
+                              e.elevation_rad, e.amplitude)
+                    fh.write(f"{idx},{t!r},{view},{e.scatterer_index},"
+                             f"{','.join(map(repr, floats))},{int(e.in_fov)}\n")
+
+
+# ---------------------------------------------------------------------------
+# debug tensor dump: shape header + little-endian complex values
+# ---------------------------------------------------------------------------
+
+
+def dump_tensor(path, array) -> None:
+    """Write any intermediate array as ndim, dims (uint32 LE), then
+    complex128 little-endian values in C order."""
+    arr = np.asarray(array)
+    with open(path, "wb") as fh:
+        header = np.array([arr.ndim, *arr.shape], dtype="<u4")
+        fh.write(header.tobytes())
+        fh.write(arr.astype("<c16").tobytes())
+
+
+def load_tensor(path) -> np.ndarray:
+    """Read a ``dump_tensor`` file; a cut or overlong one is a TensorFormatError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    header = 4 + 4 * int.from_bytes(blob[:4], "little")
+    if len(blob) < header:
+        raise TensorFormatError(f"cut tensor header: {len(blob)} of {header} bytes")
+    shape = tuple(np.frombuffer(blob[4:header], dtype="<u4").tolist())
+    if len(blob) != header + 16 * math.prod(shape):
+        raise TensorFormatError(f"{len(blob)}-byte tensor file cannot hold shape {shape}")
+    return np.frombuffer(blob, dtype="<c16", offset=header).reshape(shape).astype(complex)

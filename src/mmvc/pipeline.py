@@ -62,9 +62,10 @@ def frame_chain(frames, config, options, pose=None, weights=None, wanted=None):
         yield frame, rd, cloud, time.perf_counter() - t0
 
 
-def _check_stream(frames, view: str) -> None:
-    # Clouds are keyed by frame index and motion filtering walks the stream
-    # in order, so a repeated index or a step back in time mixes frames up.
+def check_stream(frames, view: str) -> None:
+    """Raise PipelineError when one view's stream repeats a frame index or
+    steps back in calibrated time: clouds are keyed by frame index and
+    motion filtering walks the stream in order."""
     seen = set()
     prev_ns = None
     for frame in frames:
@@ -100,8 +101,8 @@ def run_pipeline(
     that survived pairing. Each pair is fused once, and the tensor
     stacks the fused clouds of the accepted windows.
     """
-    _check_stream(left_frames, "left")
-    _check_stream(right_frames, "right")
+    check_stream(left_frames, "left")
+    check_stream(right_frames, "right")
     if poses is None:
         poses = default_pose_pair()
 

@@ -10,12 +10,10 @@ only) and both axes use a Hann window by default.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import TensorFormatError
 from .types import FrameCube, RadarConfig, RangeDopplerMap, _keep_frame_buffers_on_heap
 
 MTI_MODES = ("ema", "mean")
@@ -188,30 +186,3 @@ def process_frame(
     )
     return rd, state
 
-
-# ---------------------------------------------------------------------------
-# debug tensor dump: shape header + little-endian complex values
-# ---------------------------------------------------------------------------
-
-
-def dump_tensor(path, array: np.ndarray) -> None:
-    """Write any intermediate array as ndim, dims (uint32 LE), then
-    complex128 little-endian values in C order."""
-    arr = np.ascontiguousarray(array, dtype=np.complex128)
-    with open(path, "wb") as fh:
-        header = np.array([arr.ndim, *arr.shape], dtype="<u4")
-        fh.write(header.tobytes())
-        fh.write(arr.astype("<c16").tobytes())
-
-
-def load_tensor(path) -> np.ndarray:
-    """Read a ``dump_tensor`` file; a cut or overlong one is a TensorFormatError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = 4 + 4 * int.from_bytes(blob[:4], "little")
-    if len(blob) < header:
-        raise TensorFormatError(f"cut tensor header: {len(blob)} of {header} bytes")
-    shape = tuple(np.frombuffer(blob[4:header], dtype="<u4").tolist())
-    if len(blob) != header + 16 * math.prod(shape):
-        raise TensorFormatError(f"{len(blob)}-byte tensor file cannot hold shape {shape}")
-    return np.frombuffer(blob, dtype="<c16", offset=header).reshape(shape).astype(complex)

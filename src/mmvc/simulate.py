@@ -188,6 +188,12 @@ class SimulatedSession:
         raise KeyError(view)
 
 
+def frame_count(duration_s: float, config: RadarConfig) -> int:
+    """Frames a session of ``duration_s`` holds: the nearest whole number
+    of frame periods."""
+    return int(round(duration_s / config.frame_period_s))
+
+
 def simulate_session(
     scene: ScatterScene,
     poses,
@@ -204,7 +210,7 @@ def simulate_session(
     Identical (scene, config, seed) runs reproduce identical sessions.
     """
     poses = tuple(poses)
-    n_frames = int(round(duration_s / config.frame_period_s))
+    n_frames = frame_count(duration_s, config)
     frame_starts = tuple(f * config.frame_period_s for f in range(n_frames))
     # Truth is sampled at the chirp-sequence midpoint: spectral peaks of
     # a moving scatterer track the frame's centre, not its first chirp.

@@ -577,6 +577,21 @@ def test_export_ply(tmp_path):
     assert len(sorted(out.glob("frame_*.ply"))) == 2
 
 
+
+@pytest.mark.parametrize("fmt", ["csv", "ply", "tensor"])
+def test_export_rejects_a_repeated_frame_index(tmp_path, capsys, fmt):
+    # timestamps still increase, so the capture itself reads back fine
+    cap = _simulate(tmp_path, duration="0.8", seed="1")
+    left = read_capture(cap / "left.mmvc")
+    frames = left.frames[:7] + (dataclasses.replace(left.frames[7], frame_index=6),)
+    write_capture(cap / "left.mmvc", frames, left.config, clock_sample=left.clock_sample)
+    out = tmp_path / "exp"
+    out.mkdir()
+    argv = ["export", "--capture", str(cap / "left.mmvc"), "--out", str(out), "--format", fmt]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: left stream repeats frame index 6")
+    assert list(out.iterdir()) == []
+
 # --- argument handling ---------------------------------------------------------
 
 

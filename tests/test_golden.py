@@ -104,7 +104,7 @@ def golden_digests(work: Path) -> dict:
     _mmvc("process", *pair, "--out", out, "--format", "ply")
     digests["process --format ply"] = _dir_digest(out / "ply")
     # the stage branches the default run does not take
-    for flags in (("--no-mti", "--no-compensation"), ("--mti-mode", "mean")):
+    for flags in (("--no-mti", "--no-compensation"), ("--mti-mode", "mean"), ("--no-clutter",)):
         out = work / ("process" + "".join(flags))
         _mmvc("process", *pair, "--out", out, *flags)
         for name in ("features.mmft", "clouds.csv"):

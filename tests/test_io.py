@@ -1,10 +1,13 @@
-"""Capture, config, CSV and PLY file formats."""
+"""Capture, config, CSV, PLY and debug tensor file formats."""
 import dataclasses
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmvc import (
     Capture,
@@ -12,7 +15,10 @@ from mmvc import (
     ConfigError,
     PointCloud,
     RadarConfig,
+    TensorFormatError,
+    dump_tensor,
     load_config,
+    load_tensor,
     read_capture,
     save_config,
     write_capture,
@@ -410,3 +416,61 @@ def test_ply_of_empty_cloud(tmp_path):
     blob = path.read_bytes()
     assert b"element vertex 0" in blob
     assert blob.endswith(b"end_header\n")
+
+
+# --- debug tensors -----------------------------------------------------------
+
+
+def test_tensor_dump_round_trip(tmp_path, config):
+    rng = np.random.default_rng(8)
+    arr = (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)))
+    path = tmp_path / "cells.tensor"
+    dump_tensor(path, arr)
+    back = load_tensor(path)
+    assert back.shape == arr.shape
+    assert np.array_equal(back, arr)
+
+
+def test_tensor_dump_rejects_every_cut(tmp_path):
+    path = tmp_path / "small.tensor"
+    dump_tensor(path, np.arange(6, dtype=complex).reshape(2, 3))
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(TensorFormatError):
+            load_tensor(path)
+    path.write_bytes(data + b"\0" * 16)
+    with pytest.raises(TensorFormatError, match="cannot hold shape"):
+        load_tensor(path)
+
+
+NAN = float("nan")
+# both signs of zero and NaN in each part, so the bytes tell them apart
+TENSOR_VALUES = (
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, NAN), complex(NAN, -0.0),
+    1.5 - 2.25j, 5e-324j,
+)
+LAYOUTS = {
+    "c": lambda a: a,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[(slice(None, None, -2),) * a.ndim],
+}
+
+
+@given(
+    arr=hnp.arrays(
+        np.complex128,
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+        elements=st.sampled_from(TENSOR_VALUES),
+    ),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+)
+@example(arr=np.array(complex(-0.0, NAN)), layout="c")
+def test_tensor_dump_round_trips_shape_and_bytes(tmp_path_factory, arr, layout):
+    view = LAYOUTS[layout](arr)
+    path = tmp_path_factory.mktemp("tensor") / "cells.tensor"
+    dump_tensor(path, view)
+    back = load_tensor(path)
+    assert back.shape == view.shape
+    # C order by definition: ``flat`` walks the last axis fastest
+    assert back.tobytes() == b"".join(np.complex128(v).tobytes() for v in view.flat)

@@ -16,13 +16,10 @@ from mmvc import (
     MtiState,
     MtiStateError,
     ProcessingOptions,
-    TensorFormatError,
     clutter_removal,
     doppler_fft,
-    dump_tensor,
     energy_compensation,
     extract_point_cloud,
-    load_tensor,
     mti_filter,
     process_frame,
     range_fft,
@@ -356,25 +353,3 @@ def test_validate_options_rejects_bad_mode():
     with pytest.raises(ValueError, match="mti_mode"):
         dataclasses.replace(ProcessingOptions(), mti_mode="x")
 
-
-def test_tensor_dump_round_trip(tmp_path, config):
-    rng = np.random.default_rng(8)
-    arr = (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)))
-    path = tmp_path / "cells.tensor"
-    dump_tensor(path, arr)
-    back = load_tensor(path)
-    assert back.shape == arr.shape
-    assert np.array_equal(back, arr)
-
-
-def test_tensor_dump_rejects_every_cut(tmp_path):
-    path = tmp_path / "small.tensor"
-    dump_tensor(path, np.arange(6, dtype=complex).reshape(2, 3))
-    data = path.read_bytes()
-    for cut in range(len(data)):
-        path.write_bytes(data[:cut])
-        with pytest.raises(TensorFormatError):
-            load_tensor(path)
-    path.write_bytes(data + b"\0" * 16)
-    with pytest.raises(TensorFormatError, match="cannot hold shape"):
-        load_tensor(path)
