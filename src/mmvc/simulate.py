@@ -14,6 +14,7 @@ The two baselines are treated as ideal orthogonal pairs.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,22 @@ def _sensor_geometry(scatterer: Scatterer, pose: RadarPose, times_s) -> tuple:
     return rng, az, el
 
 
+def _scene_geometry(scene: ScatterScene, pose: RadarPose, times_s):
+    """``(index, scatterer, range, azimuth, elevation)`` per scatterer.
+
+    Raises ``SceneFormatError`` naming the scatterer and the view when a
+    track passes through the sensor origin, where the angles are undefined.
+    """
+    for idx, sc in enumerate(scene.scatterers):
+        try:
+            rng, az, el = _sensor_geometry(sc, pose, times_s)
+        except ValueError:
+            raise SceneFormatError(
+                f"scatterer {idx} passes through the sensor origin of the {pose.view} view"
+            ) from None
+        yield idx, sc, rng, az, el
+
+
 def _amplitude(scene: ScatterScene, scatterer: Scatterer, rng_m) -> np.ndarray:
     amp = np.full_like(np.asarray(rng_m, dtype=float), scatterer.reflectivity)
     if scene.range_decay:
@@ -88,8 +105,7 @@ def scatterer_truth(
     """
     h = config.chirp_duration_s
     out = []
-    for idx, sc in enumerate(scene.scatterers):
-        rng, az, el = _sensor_geometry(sc, pose, [time_s - h, time_s, time_s + h])
+    for idx, sc, rng, az, el in _scene_geometry(scene, pose, [time_s - h, time_s, time_s + h]):
         v = (rng[2] - rng[0]) / (2.0 * h)
         amp = _amplitude(scene, sc, rng[1])
         in_fov = bool(
@@ -118,6 +134,9 @@ def synthesize_frame(
     rng: np.random.Generator | None = None,
     frame_index: int = 0,
     local_timestamp_ns: int | None = None,
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> FrameCube:
     """Synthesise one frame of IF samples for one sensor.
 
@@ -126,6 +145,13 @@ def synthesize_frame(
     Gaussian noise of total standard deviation ``scene.noise_std``.
     Synthesis is linear in the scene's scatterer list. The first call
     sets the C heap limits (``_keep_frame_buffers_on_heap``).
+
+    ``out``, numpy's output-buffer idiom, is a writable complex64
+    ``(rx, chirp, sample)`` array the samples are rounded into; the
+    frame then holds a read-only view of it. ``scratch`` is a writable
+    complex128 ``(rx + 2, chirp, sample)`` array for the working arrays,
+    so a loop over frames that passes the same one allocates them once.
+    The samples are the same with or without either.
     """
     _keep_frame_buffers_on_heap()
     ns_ = config.samples_per_chirp
@@ -135,31 +161,55 @@ def synthesize_frame(
     chirp_times = frame_time_s + np.arange(nc) * config.chirp_duration_s
     ant_gain = 2.0 * np.pi * config.antenna_spacing_m / lam
 
-    cube = np.zeros((config.rx_count, nc, ns_), dtype=np.complex128)
-    for sc in scene.scatterers:
-        rng_m, az, el = _sensor_geometry(sc, pose, chirp_times)
+    if scratch is None:
+        scratch = np.empty((config.rx_count + 2, nc, ns_), dtype=np.complex128)
+    # The cube, and one tone and one steered-tone buffer that serve every
+    # scatterer. The tone phase lives in the steered tone's memory: each is
+    # done with before the other is written.
+    cube, tone, steered = scratch[:-2], scratch[-2], scratch[-1]
+    phase = steered.reshape(-1).view(np.float64)[: nc * ns_].reshape(nc, ns_)
+    cube.fill(0)
+    for _, sc, rng_m, az, el in _scene_geometry(scene, pose, chirp_times):
         amp = _amplitude(scene, sc, rng_m)
         f_if = config.chirp_slope_hz_per_s * 2.0 * rng_m / C_LIGHT
         carrier = 4.0 * np.pi * rng_m / lam
-        tone = amp[:, None] * np.exp(
-            1j * (2.0 * np.pi * f_if[:, None] * tau[None, :] + carrier[:, None])
-        )
+        np.multiply(2.0 * np.pi * f_if[:, None], tau[None, :], out=phase)
+        phase += carrier[:, None]
+        # exp(1j * phase) * amp, part by part: 1j * phase is exactly
+        # (+0, phase) for the non-negative phases here, and a real factor
+        # scales each part as the complex product with amp + 0j does.
+        tone.real = 0
+        tone.imag = phase
+        np.exp(tone, out=tone)
+        tone.real *= amp[:, None]
+        tone.imag *= amp[:, None]
         cube[0] += tone
-        cube[1] += tone * np.exp(1j * ant_gain * np.sin(az))[:, None]
-        cube[2] += tone * np.exp(1j * ant_gain * np.sin(el))[:, None]
+        cube[1] += np.multiply(tone, np.exp(1j * ant_gain * np.sin(az))[:, None], out=steered)
+        cube[2] += np.multiply(tone, np.exp(1j * ant_gain * np.sin(el))[:, None], out=steered)
 
     if scene.noise_std > 0:
         if rng is None:
             rng = np.random.default_rng(0)
         scale = scene.noise_std / np.sqrt(2.0)
-        cube += scale * (
-            rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
-        )
+        # The real parts of every channel, then the imaginary parts: the
+        # same normals, in the same order, as two whole-cube draws, each
+        # channel's drawn into the phase buffer.
+        noise = phase
+        for part in (cube.real, cube.imag):
+            for channel in part:
+                rng.standard_normal(out=noise)
+                noise *= scale
+                channel += noise
 
     if local_timestamp_ns is None:
         local_timestamp_ns = seconds_to_ns(frame_time_s)
+    if out is None:
+        samples = cube.astype(np.complex64)
+    else:
+        np.copyto(out, cube, casting="same_kind")
+        samples = out
     return FrameCube(
-        samples=cube.astype(np.complex64),
+        samples=samples,
         view=pose.view,
         frame_index=frame_index,
         local_timestamp_ns=local_timestamp_ns,
@@ -217,13 +267,13 @@ def simulate_session(
     half_frame = 0.5 * (config.chirps_per_frame - 1) * config.chirp_duration_s
     truth_times = tuple(t + half_frame for t in frame_starts)
 
-    frames: dict = {}
-    truth: dict = {}
-    clock_samples: dict = {}
-    for pose in poses:
-        view = pose.view
-        clock: ClockModel = scene.clock_for(view)
-        code = VIEWS.index(view)
+    rx, nc, ns_ = config.rx_count, config.chirps_per_frame, config.samples_per_chirp
+
+    def synthesize_view(pose: RadarPose, block: np.ndarray, scratch: np.ndarray) -> tuple:
+        """One view's frames, truth and clock sample. Frame f's samples
+        are ``block[f]``, and every frame works in ``scratch``."""
+        clock: ClockModel = scene.clock_for(pose.view)
+        code = VIEWS.index(pose.view)
         ts_rng = np.random.default_rng([seed, code, _CLOCK_STREAM])
         jitter = (
             ts_rng.standard_normal(n_frames) * clock.jitter_s
@@ -244,14 +294,51 @@ def simulate_session(
                     rng=frame_rng,
                     frame_index=f,
                     local_timestamp_ns=local_ns,
+                    out=block[f],
+                    scratch=scratch,
                 )
             )
             stream_truth.append(
                 scatterer_truth(scene, pose, config, truth_times[f])
             )
-        frames[view] = tuple(stream)
-        truth[view] = tuple(stream_truth)
-        clock_samples[view] = (0, seconds_to_ns(clock.offset_s))
+        return tuple(stream), tuple(stream_truth), (0, seconds_to_ns(clock.offset_s))
+
+    # The views share nothing until fusion pairs them, and each frame has
+    # its own generator, so each view's frames are synthesised on a thread
+    # of its own (numpy's exp and normal draws release the GIL) with the
+    # same bits in any schedule. The heap limits are set before any thread
+    # starts, so every thread allocates from the one heap they configure.
+    # Plain threads, not an executor: with concurrent.futures imported on
+    # the first call, every simulate benchmark run tried sat on the 68-70 MB
+    # peak-RSS level. Each view's scratch and sample block are allocated
+    # here, before any thread starts, so the threads allocate only small
+    # arrays.
+    _keep_frame_buffers_on_heap()
+    scratches = [np.empty((rx + 2, nc, ns_), dtype=np.complex128) for _ in poses]
+    blocks = [np.empty((n_frames, rx, nc, ns_), dtype=np.complex64) for _ in poses]
+    outcomes: list = [None] * len(poses)
+
+    def run_view(k: int) -> None:
+        try:
+            outcomes[k] = synthesize_view(poses[k], blocks[k], scratches[k])
+        except Exception as exc:  # re-raised in pose order below
+            outcomes[k] = exc
+
+    threads = [threading.Thread(target=run_view, args=(k,)) for k in range(len(poses))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    frames: dict = {}
+    truth: dict = {}
+    clock_samples: dict = {}
+    for pose, outcome in zip(poses, outcomes):
+        if isinstance(outcome, Exception):
+            raise outcome
+        stream, stream_truth, clock_sample = outcome
+        frames[pose.view] = stream
+        truth[pose.view] = stream_truth
+        clock_samples[pose.view] = clock_sample
 
     return SimulatedSession(
         config=config,

@@ -48,9 +48,10 @@ def gate_tag(index: int) -> str:
 # glibc mallopt parameters and the heap limits the per-frame synthesis
 # and processing set: the mmap threshold is glibc's own ceiling for its
 # dynamic threshold, and the trim threshold is twice it, as the dynamic
-# rule pairs them.
+# rule pairs them. One arena holds every thread's blocks.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
 
@@ -67,8 +68,13 @@ def _keep_frame_buffers_on_heap() -> None:
     both limits: each frame re-faults hundreds to thousands of fresh
     pages, and that kernel work is as slow as the host's memory load
     makes it. Raising both limits once keeps the buffers on the heap
-    for reuse. Process-wide; a no-op where the C library has no
-    ``mallopt``.
+    for reuse.
+
+    It also caps glibc at one arena, so threads that synthesise views
+    side by side (``simulate_session``) allocate from this same heap,
+    not from arenas of their own, each of which would hold its own
+    freed frame buffers. Call it before such threads start.
+    Process-wide; a no-op where the C library has no ``mallopt``.
     """
     import ctypes
 
@@ -80,6 +86,7 @@ def _keep_frame_buffers_on_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def seconds_to_ns(t_s: float) -> int:

@@ -123,6 +123,27 @@ def test_simulate_reports_scene_syntax_position(tmp_path, capsys):
     assert "bad.txt:2: unknown directive 'orbit'" in capsys.readouterr().err
 
 
+# the waypoint sits on the right sensor's origin; the left sensor sees it
+# 0.32 m off to the side
+AT_RIGHT_ORIGIN_SCENE = """\
+scatterer
+waypoint t=0.0 x=0.16 y=0 z=0
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_scatterer_at_a_sensor_origin_is_a_one_line_error(tmp_path, capsys, command):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(AT_RIGHT_ORIGIN_SCENE)
+    argv = [command, "--scene", str(scene), "--duration", "1.0"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "cap")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: scatterer 0 passes through the sensor origin of the right view"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.txt"]
+
+
 # --- process -----------------------------------------------------------------
 
 

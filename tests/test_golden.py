@@ -31,6 +31,7 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
 SCENE = HERE / "data" / "golden_scene.txt"
 SEED = 7
+OTHER_SEED = 104
 DURATION_S = 2.0  # 20 pairs: two windows of 10
 WINDOW = 10
 
@@ -84,11 +85,17 @@ def golden_digests(work: Path) -> dict:
     sim, proc = work / "simulate", work / "process"
     left, right = sim / "left.mmvc", sim / "right.mmvc"
     scene = ("--scene", SCENE, "--duration", DURATION_S, "--seed", SEED)
+    other_scene = ("--scene", SCENE, "--duration", DURATION_S, "--seed", OTHER_SEED)
     digests = {}
 
     _mmvc("simulate", *scene, "--out", sim)
     for name in ("left.mmvc", "right.mmvc", "truth.csv"):
         digests[f"simulate {name}"] = _file_digest(sim / name)
+    # a second seed: other noise draws and clock jitter through the same scene
+    other = work / f"simulate-seed-{OTHER_SEED}"
+    _mmvc("simulate", *other_scene, "--out", other)
+    for name in ("left.mmvc", "right.mmvc", "truth.csv"):
+        digests[f"simulate --seed {OTHER_SEED} {name}"] = _file_digest(other / name)
 
     pair = ("--left", left, "--right", right, "--window", WINDOW)
     _mmvc("process", *pair, "--out", proc)

@@ -1,5 +1,6 @@
 """Signal synthesis, ground truth, session assembly, scene files."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mmvc import (
     synthesize_frame,
 )
 from mmvc import simulate
-from mmvc.types import seconds_to_ns
+from mmvc.types import C_LIGHT, VIEWS, seconds_to_ns
 
 
 def _static_scene(position, reflectivity=1.0, **kwargs):
@@ -133,6 +134,93 @@ def test_scatterer_at_sensor_origin_is_rejected(config, poses):
     scene = _static_scene((0.16, 0.0, 0.0))
     with pytest.raises(ValueError, match="sensor origin"):
         synthesize_frame(scene, poses[1], config, 0.0)
+
+
+def _reference_frame(scene, pose, config, frame_time_s, rng=None):
+    """``synthesize_frame``'s samples as they were computed before it kept
+    per-scatterer buffers and drew the noise one channel at a time."""
+    ns_ = config.samples_per_chirp
+    nc = config.chirps_per_frame
+    lam = config.center_wavelength_m
+    tau = np.arange(ns_) / config.sample_rate_hz
+    chirp_times = frame_time_s + np.arange(nc) * config.chirp_duration_s
+    ant_gain = 2.0 * np.pi * config.antenna_spacing_m / lam
+
+    cube = np.zeros((config.rx_count, nc, ns_), dtype=np.complex128)
+    for sc in scene.scatterers:
+        rng_m, az, el = simulate._sensor_geometry(sc, pose, chirp_times)
+        amp = simulate._amplitude(scene, sc, rng_m)
+        f_if = config.chirp_slope_hz_per_s * 2.0 * rng_m / C_LIGHT
+        carrier = 4.0 * np.pi * rng_m / lam
+        tone = amp[:, None] * np.exp(
+            1j * (2.0 * np.pi * f_if[:, None] * tau[None, :] + carrier[:, None])
+        )
+        cube[0] += tone
+        cube[1] += tone * np.exp(1j * ant_gain * np.sin(az))[:, None]
+        cube[2] += tone * np.exp(1j * ant_gain * np.sin(el))[:, None]
+
+    if scene.noise_std > 0:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        scale = scene.noise_std / np.sqrt(2.0)
+        cube += scale * (
+            rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
+        )
+    return cube.astype(np.complex64)
+
+
+_coord = st.floats(-0.6, 0.6, allow_nan=False)
+# in front of both sensors (head y = 0), never through either origin
+_waypoint = st.tuples(st.floats(0.0, 1.0), _coord, st.floats(-2.0, -0.3), _coord)
+
+
+@st.composite
+def _scenes(draw):
+    scatterers = []
+    for _ in range(draw(st.integers(0, 3))):
+        rows = draw(st.lists(_waypoint, min_size=1, max_size=3, unique_by=lambda w: w[0]))
+        scatterers.append(
+            Scatterer(
+                trajectory=Trajectory.from_waypoints(sorted(rows)),
+                reflectivity=draw(st.floats(0.05, 3.0)),
+            )
+        )
+    return ScatterScene(
+        scatterers=tuple(scatterers),
+        noise_std=draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0))),
+        range_decay=draw(st.booleans()),
+    )
+
+
+@given(
+    scene=_scenes(),
+    view=st.sampled_from((0, 1)),
+    frame_time_s=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    into_buffer=st.booleans(),
+    with_scratch=st.booleans(),
+)
+def test_synthesized_frame_equals_the_reference(
+    config, poses, scene, view, frame_time_s, seed, into_buffer, with_scratch
+):
+    want = _reference_frame(
+        scene, poses[view], config, frame_time_s, rng=np.random.default_rng(seed)
+    )
+    out = np.empty_like(want) if into_buffer else None
+    scratch = None
+    if with_scratch:
+        # left over from another frame: nothing of it may reach this one
+        shape = (config.rx_count + 2, config.chirps_per_frame, config.samples_per_chirp)
+        scratch = np.full(shape, np.nan, dtype=np.complex128)
+    got = synthesize_frame(
+        scene, poses[view], config, frame_time_s, rng=np.random.default_rng(seed),
+        out=out, scratch=scratch,
+    )
+    assert got.samples.dtype == np.complex64
+    assert got.samples.tobytes() == want.tobytes()
+    assert not got.samples.flags.writeable
+    if into_buffer:
+        assert np.shares_memory(got.samples, out)
 
 
 # --- ground truth ------------------------------------------------------------
@@ -270,6 +358,74 @@ def test_session_truth_matches_direct_evaluation(config, poses):
     session = simulate_session(scene, poses, config, 0.2, seed=0)
     direct = scatterer_truth(scene, poses[1], config, session.truth_times_s[1])
     assert session.truth["right"][1] == direct
+
+
+SESSION_SCENE = """\
+scatterer reflectivity=0.9
+waypoint t=0.0 x=0.05 y=-0.6 z=0.1
+waypoint t=0.4 x=-0.04 y=-0.7 z=0.0
+scatterer reflectivity=0.5
+waypoint t=0.0 x=0.2 y=-1.3 z=0.1
+clock left offset_s=0.004 jitter_s=0.0005
+clock right offset_s=-0.0035 jitter_s=0.0005
+noise std=1.0
+"""
+
+
+def test_session_frames_equal_frames_synthesised_alone(config, poses):
+    # each view's frames come from threads of their own; each must still
+    # be the frame its per-frame generator gives on the calling thread
+    scene = parse_scene(SESSION_SCENE)
+    seed = 21
+    session = simulate_session(scene, poses, config, 0.4, seed=seed)
+    for pose in poses:
+        code = VIEWS.index(pose.view)
+        frames = session.frames[pose.view]
+        assert [f.frame_index for f in frames] == [0, 1, 2, 3]
+        for f, frame in enumerate(frames):
+            alone = synthesize_frame(
+                scene, pose, config, f * config.frame_period_s,
+                rng=np.random.default_rng([seed, code, 0, f]),
+            )
+            assert frame.samples.tobytes() == alone.samples.tobytes()
+            assert not frame.samples.flags.writeable
+            assert frame.view == pose.view
+
+
+def test_session_bytes_do_not_depend_on_thread_scheduling(config, poses, monkeypatch):
+    # holding up the left view's even frames reorders how the two views'
+    # frames interleave; no byte may move
+    scene = parse_scene(SESSION_SCENE)
+    reference = simulate_session(scene, poses, config, 0.4, seed=5)
+    synthesize = simulate.synthesize_frame
+
+    def late_on_left_even_frames(scene, pose, *args, frame_index=0, **kwargs):
+        if pose.view == "left" and frame_index % 2 == 0:
+            time.sleep(0.02)
+        return synthesize(scene, pose, *args, frame_index=frame_index, **kwargs)
+
+    monkeypatch.setattr(simulate, "synthesize_frame", late_on_left_even_frames)
+    delayed = simulate_session(scene, poses, config, 0.4, seed=5)
+    for view in VIEWS:
+        for got, want in zip(delayed.frames[view], reference.frames[view], strict=True):
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.local_timestamp_ns == want.local_timestamp_ns
+        assert delayed.truth[view] == reference.truth[view]
+    assert delayed.clock_samples == reference.clock_samples
+
+
+def test_session_names_the_scatterer_and_view_at_a_sensor_origin(config, poses):
+    # scatterer 1 sits on the right sensor's origin only: the left view's
+    # thread finishes, the right view's error reaches the caller
+    scene = ScatterScene(
+        scatterers=(
+            _static_scene((0.0, -1.0, 0.0)).scatterers[0],
+            _static_scene((0.16, 0.0, 0.0)).scatterers[0],
+        )
+    )
+    with pytest.raises(SceneFormatError) as err:
+        simulate_session(scene, poses, config, 0.3, seed=0)
+    assert str(err.value) == "scatterer 1 passes through the sensor origin of the right view"
 
 
 def _per_chirp_geometry(scatterer, pose, times_s):
