@@ -15,7 +15,6 @@ from .fusion import (
     assemble_feature_tensor,
     calibrate_timestamps,
     cloud_feature_rows,
-    compute_offset,
     gate_windows,
     merge_views,
     offset_from_clock_sample,

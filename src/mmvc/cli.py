@@ -34,6 +34,7 @@ from .io_files import (
     write_truth_csv,
 )
 from .pipeline import (
+    RECOVERY_PASS_RATE,
     PipelineError,
     calibrated_stream,
     check_stream,
@@ -284,12 +285,12 @@ def _cmd_verify(args) -> int:
             print(
                 f"{axis:>10}: mean {np.mean(values):.4g}  max {np.max(values):.4g}"
             )
-    verdict = "PASS" if rate >= 0.98 else "FAIL"
+    passed = rate >= RECOVERY_PASS_RATE
     print(
-        f"verify: {verdict} recovered {recovered}/{evaluated} frames "
+        f"verify: {'PASS' if passed else 'FAIL'} recovered {recovered}/{evaluated} frames "
         f"({100.0 * rate:.1f}%)"
     )
-    return 0 if rate >= 0.98 else 1
+    return 0 if passed else 1
 
 
 # --------------------------------------------------------------------------

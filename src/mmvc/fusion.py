@@ -20,17 +20,6 @@ from .types import FrameCube, PointCloud, RadarConfig, ns_to_seconds, seconds_to
 TENSOR_MAGIC = b"MMFT"
 TENSOR_VERSION = 1
 
-FEATURE_NAMES = (
-    "x",
-    "y",
-    "z",
-    "velocity",
-    "energy",
-    "range",
-    "view",
-    "gate",
-)
-
 
 class TensorFormatError(ValueError):
     """Raised for malformed feature tensor files."""
@@ -42,23 +31,6 @@ class ClockOffset:
 
     offset_ns: int
     view: str | None = None
-
-    @property
-    def offset_s(self) -> float:
-        return ns_to_seconds(self.offset_ns)
-
-
-def compute_offset(
-    reference_time_s: float, local_time_s: float, view: str | None = None
-) -> ClockOffset:
-    """Offset = reference - local, from one simultaneous reading pair.
-
-    Exactly antisymmetric under swapping the arguments.
-    """
-    return ClockOffset(
-        offset_ns=seconds_to_ns(reference_time_s) - seconds_to_ns(local_time_s),
-        view=view,
-    )
 
 
 def offset_from_clock_sample(clock_sample, view: str | None = None) -> ClockOffset:
@@ -147,13 +119,11 @@ def pair_views(left, right, max_skew_s: float = 0.010) -> PairingResult:
 
 @dataclass(frozen=True)
 class PairedFrame:
-    """Calibrated timestamps of one matched frame pair; ``index`` is its
-    position in the pairing."""
+    """Calibrated timestamps of one matched frame pair."""
 
     left_timestamp_ns: int
     right_timestamp_ns: int
     label_timestamp_ns: int | None = None
-    index: int = 0
 
     @property
     def mid_timestamp_ns(self) -> int:

@@ -86,8 +86,10 @@ def write_capture(
 ) -> None:
     """Write one stream of frames with its config embedded.
 
-    Frames must all belong to one view, match the config's cube shape
-    and carry nondecreasing local timestamps.
+    Frames must all belong to one view, match the config's frame shape,
+    carry nondecreasing local timestamps and fit the file's fields: a
+    uint32 frame index and an int64 timestamp. All of this is checked
+    before the file is opened.
     """
     frames = tuple(frames)
     views = {f.view for f in frames}
@@ -98,10 +100,16 @@ def write_capture(
         raise ValueError(f"capture view must be one of {VIEWS}, got {view!r}")
     prev_ts = None
     for f in frames:
-        if not f.matches(config):
+        if f.samples.shape != config.frame_shape:
             raise ValueError(
                 f"frame {f.frame_index} shape {f.samples.shape} does not "
                 "match the capture config"
+            )
+        if not 0 <= f.frame_index < 2**32:
+            raise ValueError(f"frame {f.frame_index} index does not fit in uint32")
+        if not -(2**63) <= f.local_timestamp_ns < 2**63:
+            raise ValueError(
+                f"frame {f.frame_index} timestamp {f.local_timestamp_ns} does not fit in int64"
             )
         if prev_ts is not None and f.local_timestamp_ns < prev_ts:
             raise ValueError(
@@ -135,6 +143,19 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _clock_sample(stored) -> tuple[int, int] | None:
+    """The metadata's ``{"reference_ns", "local_ns"}`` integer pair as a
+    tuple, or None when none is stored."""
+    if stored is None:
+        return None
+    keys = ("reference_ns", "local_ns")
+    if not isinstance(stored, dict) or not all(type(stored.get(k)) is int for k in keys):
+        raise CaptureFormatError(
+            f"bad clock sample {stored!r}: expected integer reference_ns and local_ns"
+        )
+    return stored["reference_ns"], stored["local_ns"]
+
+
 def read_capture(path) -> Capture:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -158,14 +179,11 @@ def read_capture(path) -> Capture:
             config = RadarConfig.from_dict(meta["config"])
         except (KeyError, TypeError, ConfigError) as exc:
             raise CaptureFormatError(f"bad embedded config: {exc}") from None
-        clock_sample = None
-        if meta.get("clock_sample") is not None:
-            cs = meta["clock_sample"]
-            clock_sample = (int(cs["reference_ns"]), int(cs["local_ns"]))
+        clock_sample = _clock_sample(meta.get("clock_sample"))
 
         (n_frames,) = struct.unpack("<I", _read_exact(fh, 4, "frame count"))
-        shape = (config.rx_count, config.chirps_per_frame, config.samples_per_chirp)
-        n_bytes = int(np.prod(shape)) * 8  # complex64
+        shape = config.frame_shape
+        n_bytes = math.prod(shape) * 8  # complex64
         frames = []
         prev_ts = None
         for k in range(n_frames):

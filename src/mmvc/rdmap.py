@@ -166,11 +166,9 @@ def process_frame(
     first call sets the C heap limits (``_keep_frame_buffers_on_heap``).
     """
     _keep_frame_buffers_on_heap()
-    if not frame.matches(config):
+    if frame.samples.shape != config.frame_shape:
         raise ValueError(
-            f"frame shape {frame.samples.shape} does not match config "
-            f"({config.rx_count}, {config.chirps_per_frame}, "
-            f"{config.samples_per_chirp})"
+            f"frame shape {frame.samples.shape} does not match config {config.frame_shape}"
         )
     samples = frame.samples
     if options.apply_mti:

@@ -154,15 +154,14 @@ def synthesize_frame(
     The samples are the same with or without either.
     """
     _keep_frame_buffers_on_heap()
-    ns_ = config.samples_per_chirp
-    nc = config.chirps_per_frame
+    rx, nc, ns_ = config.frame_shape
     lam = config.center_wavelength_m
     tau = np.arange(ns_) / config.sample_rate_hz
     chirp_times = frame_time_s + np.arange(nc) * config.chirp_duration_s
     ant_gain = 2.0 * np.pi * config.antenna_spacing_m / lam
 
     if scratch is None:
-        scratch = np.empty((config.rx_count + 2, nc, ns_), dtype=np.complex128)
+        scratch = np.empty((rx + 2, nc, ns_), dtype=np.complex128)
     # The cube, and one tone and one steered-tone buffer that serve every
     # scatterer. The tone phase lives in the steered tone's memory: each is
     # done with before the other is written.
@@ -220,22 +219,12 @@ def synthesize_frame(
 class SimulatedSession:
     """Everything one simulation run produced, keyed by view tag."""
 
-    config: RadarConfig
-    scene: ScatterScene
-    poses: tuple[RadarPose, ...]
     frames: dict
     truth: dict
     truth_times_s: tuple[float, ...]
     # Per-view (reference_ns, local_ns) reading taken at session start;
     # this is the sample a clock-offset calibration works from.
     clock_samples: dict
-    seed: int
-
-    def pose_for(self, view: str) -> RadarPose:
-        for p in self.poses:
-            if p.view == view:
-                return p
-        raise KeyError(view)
 
 
 def frame_count(duration_s: float, config: RadarConfig) -> int:
@@ -267,7 +256,7 @@ def simulate_session(
     half_frame = 0.5 * (config.chirps_per_frame - 1) * config.chirp_duration_s
     truth_times = tuple(t + half_frame for t in frame_starts)
 
-    rx, nc, ns_ = config.rx_count, config.chirps_per_frame, config.samples_per_chirp
+    rx, nc, ns_ = config.frame_shape
 
     def synthesize_view(pose: RadarPose, block: np.ndarray, scratch: np.ndarray) -> tuple:
         """One view's frames, truth and clock sample. Frame f's samples
@@ -341,14 +330,10 @@ def simulate_session(
         clock_samples[pose.view] = clock_sample
 
     return SimulatedSession(
-        config=config,
-        scene=scene,
-        poses=poses,
         frames=frames,
         truth=truth,
         truth_times_s=truth_times,
         clock_samples=clock_samples,
-        seed=seed,
     )
 
 
@@ -384,11 +369,21 @@ def _parse_kv(parts, lineno: str, allowed: set) -> dict:
     return vals
 
 
+def _located(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a value object's ValueError raised as a
+    SceneFormatError at ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise SceneFormatError(f"{where}: {exc}") from None
+
+
 def parse_scene(text: str, name: str = "<scene>") -> ScatterScene:
     """Parse a scene description; errors carry file:line positions."""
-    pending: list[dict] = []  # per scatterer: {"reflectivity", "rows", "line"}
+    pending: list[dict] = []  # per scatterer: {"reflectivity", "rows", "where"}
     clocks = {"left": ClockModel(), "right": ClockModel()}
     noise_std = 0.0
+    noise_where = name
     range_decay = True
 
     for num, raw in enumerate(text.splitlines(), start=1):
@@ -402,7 +397,7 @@ def parse_scene(text: str, name: str = "<scene>") -> ScatterScene:
         if directive == "scatterer":
             vals = _parse_kv(args, where, {"reflectivity"})
             pending.append(
-                {"reflectivity": vals.get("reflectivity", 1.0), "rows": [], "line": num}
+                {"reflectivity": vals.get("reflectivity", 1.0), "rows": [], "where": where}
             )
         elif directive == "waypoint":
             if not pending:
@@ -418,13 +413,15 @@ def parse_scene(text: str, name: str = "<scene>") -> ScatterScene:
             if not args or args[0] not in clocks:
                 raise SceneFormatError(f"{where}: clock needs a view tag (left | right)")
             vals = _parse_kv(args[1:], where, {"offset_s", "jitter_s"})
-            clocks[args[0]] = ClockModel(
+            clocks[args[0]] = _located(
+                where,
+                ClockModel,
                 offset_s=vals.get("offset_s", 0.0),
                 jitter_s=vals.get("jitter_s", 0.0),
             )
         elif directive == "noise":
             vals = _parse_kv(args, where, {"std"})
-            noise_std = vals.get("std", 0.0)
+            noise_std, noise_where = vals.get("std", 0.0), where
         elif directive == "decay":
             if args not in (["on"], ["off"]):
                 raise SceneFormatError(f"{where}: decay must be 'on' or 'off'")
@@ -434,17 +431,15 @@ def parse_scene(text: str, name: str = "<scene>") -> ScatterScene:
 
     scatterers = []
     for entry in pending:
+        where = entry["where"]
         if not entry["rows"]:
-            raise SceneFormatError(
-                f"{name}:{entry['line']}: scatterer has no waypoints"
-            )
-        try:
-            traj = Trajectory.from_waypoints(entry["rows"])
-        except ValueError as exc:
-            raise SceneFormatError(f"{name}:{entry['line']}: {exc}") from None
-        scatterers.append(Scatterer(trajectory=traj, reflectivity=entry["reflectivity"]))
+            raise SceneFormatError(f"{where}: scatterer has no waypoints")
+        traj = _located(where, Trajectory.from_waypoints, entry["rows"])
+        scatterers.append(_located(where, Scatterer, traj, entry["reflectivity"]))
 
-    return ScatterScene(
+    return _located(
+        noise_where,
+        ScatterScene,
         scatterers=tuple(scatterers),
         left_clock=clocks["left"],
         right_clock=clocks["right"],

@@ -162,6 +162,11 @@ class RadarConfig:
 
     # ------------------------- derived quantities -------------------------
     @property
+    def frame_shape(self) -> tuple[int, int, int]:
+        """(rx, chirp, sample) shape of one frame's IF samples."""
+        return (self.rx_count, self.chirps_per_frame, self.samples_per_chirp)
+
+    @property
     def center_freq_hz(self) -> float:
         return 0.5 * (self.start_freq_hz + self.end_freq_hz)
 
@@ -432,7 +437,8 @@ def _freeze_array(obj, name: str, value, dtype=None, ndim: int | None = None):
 
 @dataclass(frozen=True, eq=False)
 class FrameCube:
-    """One raw frame of IF samples, indexed (rx, chirp, sample).
+    """One raw frame of IF samples, indexed (rx, chirp, sample) as
+    ``RadarConfig.frame_shape`` gives the sizes.
 
     Samples are complex64: that is the capture-file precision, so a
     write/read round trip is bit-exact.
@@ -446,13 +452,6 @@ class FrameCube:
 
     def __post_init__(self) -> None:
         _freeze_array(self, "samples", self.samples, dtype=np.complex64, ndim=3)
-
-    def matches(self, config: RadarConfig) -> bool:
-        return self.samples.shape == (
-            config.rx_count,
-            config.chirps_per_frame,
-            config.samples_per_chirp,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,11 +588,6 @@ class Trajectory:
             raise ValueError("trajectory contains non-finite values")
 
     @classmethod
-    def constant(cls, position) -> "Trajectory":
-        x, y, z = position
-        return cls(times_s=(0.0,), points_m=((x, y, z),))
-
-    @classmethod
     def from_waypoints(cls, waypoints) -> "Trajectory":
         """Build from an iterable of (t, x, y, z) rows."""
         rows = sorted(waypoints, key=lambda r: r[0])
@@ -623,8 +617,12 @@ class ClockModel:
     jitter_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.jitter_s < 0:
-            raise ValueError("clock jitter must be non-negative")
+        if not math.isfinite(self.offset_s):
+            raise ValueError(f"clock offset must be finite, got {self.offset_s!r}")
+        if not 0 <= self.jitter_s < math.inf:
+            raise ValueError(
+                f"clock jitter must be finite and non-negative, got {self.jitter_s!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -633,8 +631,11 @@ class Scatterer:
     reflectivity: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.reflectivity >= 0):
-            raise ValueError("scatterer reflectivity must be non-negative")
+        if not 0 <= self.reflectivity < math.inf:
+            raise ValueError(
+                "scatterer reflectivity must be finite and non-negative, "
+                f"got {self.reflectivity!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -654,8 +655,10 @@ class ScatterScene:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(
+                f"noise std must be finite and non-negative, got {self.noise_std!r}"
+            )
 
     def clock_for(self, view: str) -> ClockModel:
         if view == VIEW_LEFT:

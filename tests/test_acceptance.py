@@ -15,6 +15,7 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES
 from mmvc import (
+    ClockOffset,
     MtiState,
     PairedFrame,
     PointCloud,
@@ -24,7 +25,6 @@ from mmvc import (
     Scatterer,
     Trajectory,
     calibrate_timestamps,
-    compute_offset,
     dbf_weights,
     energy_compensation,
     extract_point_cloud,
@@ -56,7 +56,7 @@ def _calibrated_streams(session):
     """Session frame streams with zero-offset calibration applied."""
     return tuple(
         calibrate_timestamps(
-            session.frames[view], compute_offset(0.0, 0.0, view=view)
+            session.frames[view], ClockOffset(offset_ns=0, view=view)
         )
         for view in ("left", "right")
     )
@@ -140,9 +140,9 @@ def test_criterion_2_randomized_recovery(config, poses):
         session = simulate_session(scene, poses, config, duration, seed=1000 + s)
 
         clouds = {f: {} for f in eval_frames}
-        for view in ("left", "right"):
+        for pose in poses:
+            view = pose.view
             state = MtiState()
-            pose = session.pose_for(view)
             for f, frame in enumerate(session.frames[view]):
                 if f in eval_frames:
                     rd, state = process_frame(frame, state, config, opts)
@@ -368,7 +368,6 @@ def test_criterion_6_temporal_gating():
             PairedFrame(
                 left_timestamp_ns=seconds_to_ns(k * 0.1),
                 right_timestamp_ns=seconds_to_ns(k * 0.1 + gap_s),
-                index=k,
             )
             for k in range(n)
         ]
@@ -452,7 +451,7 @@ def test_criterion_8_persistence(config, tmp_path):
     bit; CSV and PLY exports carry the frozen headers."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(88)
-    shape = (config.rx_count, config.chirps_per_frame, config.samples_per_chirp)
+    shape = config.frame_shape
     frames = tuple(
         FrameCube(
             samples=(

@@ -123,6 +123,24 @@ def test_simulate_reports_scene_syntax_position(tmp_path, capsys):
     assert "bad.txt:2: unknown directive 'orbit'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("scatterer reflectivity=inf\nwaypoint t=0 x=0 y=-1 z=0\n", "1: scatterer"),
+        ("clock left offset_s=nan\n", "1: clock offset"),
+        ("noise std=nan\n", "1: noise std"),
+    ],
+)
+def test_simulate_reports_bad_scene_value_position(tmp_path, capsys, text, message):
+    scene = tmp_path / "bad.txt"
+    scene.write_text(text)
+    assert main(["simulate", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {scene}:{message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+
 # the waypoint sits on the right sensor's origin; the left sensor sees it
 # 0.32 m off to the side
 AT_RIGHT_ORIGIN_SCENE = """\
@@ -805,21 +823,20 @@ def test_commands_reject_bad_numeric_flags(tmp_path, capsys, command, flag, valu
 
 
 def _stream(config, times, view, indices=None):
-    from mmvc import calibrate_timestamps, compute_offset
+    from mmvc import ClockOffset, calibrate_timestamps
     from mmvc.types import FrameCube
 
-    shape = (config.rx_count, config.chirps_per_frame, config.samples_per_chirp)
     indices = range(len(times)) if indices is None else indices
     frames = tuple(
         FrameCube(
-            samples=np.zeros(shape, dtype=np.complex64),
+            samples=np.zeros(config.frame_shape, dtype=np.complex64),
             view=view,
             frame_index=i,
             local_timestamp_ns=int(t * 1e9),
         )
         for i, t in zip(indices, times)
     )
-    return calibrate_timestamps(frames, compute_offset(0.0, 0.0))
+    return calibrate_timestamps(frames, ClockOffset(offset_ns=0))
 
 
 def test_run_pipeline_counts_dropped_frames(config, poses):

@@ -157,8 +157,8 @@ def test_head_sensor_round_trip(poses):
 def test_frame_cube_matches(config):
     cube = np.zeros((3, 128, 128), dtype=np.complex64)
     frame = FrameCube(samples=cube, view="left", frame_index=0, local_timestamp_ns=0)
-    assert frame.matches(config)
-    assert not frame.matches(dataclasses.replace(config, chirps_per_frame=64))
+    assert config.frame_shape == frame.samples.shape == (3, 128, 128)
+    assert dataclasses.replace(config, chirps_per_frame=64).frame_shape == (3, 64, 128)
 
 
 def test_frame_cube_samples_read_only(config):
@@ -190,7 +190,7 @@ def test_trajectory_rejects_duplicate_times():
 
 
 def test_constant_trajectory():
-    traj = Trajectory.constant([0.1, -0.5, 0.2])
+    traj = Trajectory.from_waypoints([(0.0, 0.1, -0.5, 0.2)])
     assert np.allclose(traj.position_at(3.7), [0.1, -0.5, 0.2])
 
 

@@ -14,7 +14,6 @@ from mmvc import (
     assemble_feature_tensor,
     calibrate_timestamps,
     cloud_feature_rows,
-    compute_offset,
     gate_windows,
     merge_views,
     offset_from_clock_sample,
@@ -43,7 +42,7 @@ def _stream(times_s, view="left", offset_s=0.0):
     frames = tuple(
         _frame(t, view=view, index=i) for i, t in enumerate(times_s)
     )
-    return calibrate_timestamps(frames, compute_offset(0.0, -offset_s))
+    return calibrate_timestamps(frames, ClockOffset(offset_ns=seconds_to_ns(offset_s)))
 
 
 def _cloud(view="left", n=4, ts=0, pad_count=0):
@@ -71,19 +70,6 @@ def _cloud(view="left", n=4, ts=0, pad_count=0):
 
 
 # --- clock offsets -----------------------------------------------------------
-
-
-def test_offset_is_reference_minus_local():
-    off = compute_offset(1.25, 1.20, view="left")
-    assert off.offset_ns == 50_000_000
-    assert off.offset_s == pytest.approx(0.05)
-    assert off.view == "left"
-
-
-def test_offset_is_antisymmetric():
-    a = compute_offset(3.7, -0.4)
-    b = compute_offset(-0.4, 3.7)
-    assert a.offset_ns == -b.offset_ns
 
 
 def test_offset_from_stored_sample():
@@ -221,7 +207,6 @@ def _paired(gaps_s, period_s=0.1):
             PairedFrame(
                 left_timestamp_ns=t,
                 right_timestamp_ns=t + seconds_to_ns(g),
-                index=k,
             )
         )
     return out

@@ -1,5 +1,6 @@
 """Capture, config, CSV, PLY and debug tensor file formats."""
 import dataclasses
+import json
 import struct
 import tracemalloc
 
@@ -25,12 +26,17 @@ from mmvc import (
     write_cloud_ply,
     write_clouds_csv,
 )
-from mmvc.types import FrameCube
+from mmvc.types import VIEWS, FrameCube
+
+# A (3, 1, 2) frame: small enough that a property test writes many files.
+TINY = RadarConfig(samples_per_chirp=2, chirps_per_frame=1, gate_bounds_m=((0.0, 0.05),))
+_U32 = st.integers(0, 2**32 - 1)
+_I64 = st.integers(-(2**63), 2**63 - 1)
 
 
 def _frames(config, n=3, view="right", seed=40):
     rng = np.random.default_rng(seed)
-    shape = (config.rx_count, config.chirps_per_frame, config.samples_per_chirp)
+    shape = config.frame_shape
     return tuple(
         FrameCube(
             samples=(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -99,6 +105,57 @@ def test_capture_rejects_decreasing_timestamps(tmp_path, config):
     f1 = dataclasses.replace(f1, local_timestamp_ns=f0.local_timestamp_ns - 1)
     with pytest.raises(ValueError, match="timestamp decreases"):
         write_capture(tmp_path / "x.mmvc", (f0, f1), config)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("frame_index", -1, "frame -1 index does not fit in uint32"),
+        ("frame_index", 2**32, "frame 4294967296 index does not fit in uint32"),
+        ("local_timestamp_ns", 2**63, f"frame 1 timestamp {2**63} does not fit in int64"),
+    ],
+)
+def test_capture_rejects_fields_out_of_range_before_writing(tmp_path, field, value, message):
+    f0, f1 = _frames(TINY, n=2)
+    path = tmp_path / "x.mmvc"
+    with pytest.raises(ValueError, match=message):
+        write_capture(path, (f0, dataclasses.replace(f1, **{field: value})), TINY)
+    assert not path.exists()
+
+
+@given(
+    view=st.sampled_from(VIEWS),
+    rows=st.lists(
+        st.tuples(
+            _U32,
+            _I64,
+            hnp.arrays(
+                np.complex64,
+                TINY.frame_shape,
+                elements=st.complex_numbers(allow_nan=False, allow_infinity=False, width=64),
+            ),
+        ),
+        max_size=4,
+    ),
+    clock_sample=st.none() | st.tuples(_I64, _I64),
+)
+def test_capture_round_trips(tmp_path_factory, view, rows, clock_sample):
+    stamps = sorted(ts for _, ts, _ in rows)
+    frames = tuple(
+        FrameCube(samples=samples, view=view, frame_index=index, local_timestamp_ns=ts)
+        for (index, _, samples), ts in zip(rows, stamps)
+    )
+    path = tmp_path_factory.mktemp("capture") / "x.mmvc"
+    write_capture(path, frames, TINY, clock_sample=clock_sample)
+    cap = read_capture(path)
+    assert cap.config == TINY
+    assert cap.clock_sample == clock_sample
+    assert cap.view == (view if frames else VIEWS[0])
+
+    def fields(stream):
+        return [(f.frame_index, f.local_timestamp_ns, f.samples.tobytes()) for f in stream]
+
+    assert fields(cap.frames) == fields(frames)
 
 
 def test_read_rejects_bad_magic(tmp_path, config):
@@ -192,6 +249,27 @@ def test_read_rejects_unparseable_metadata(tmp_path, config):
         + blob
     )
     with pytest.raises(CaptureFormatError, match="bad capture metadata"):
+        read_capture(path)
+
+
+@pytest.mark.parametrize(
+    "stored",
+    [
+        5,
+        [1, 2],
+        {"reference_ns": 1},
+        {"reference_ns": "soon", "local_ns": 0},
+        {"reference_ns": float("nan"), "local_ns": 0},
+        {"reference_ns": 1.5, "local_ns": 0},
+    ],
+)
+def test_read_rejects_malformed_clock_sample(tmp_path, stored):
+    path = tmp_path / "x.mmvc"
+    meta = json.dumps({"config": TINY.to_dict(), "clock_sample": stored}).encode()
+    path.write_bytes(
+        b"MMVC" + struct.pack("<IBI", 1, 0, len(meta)) + meta + struct.pack("<I", 0)
+    )
+    with pytest.raises(CaptureFormatError, match="bad clock sample"):
         read_capture(path)
 
 

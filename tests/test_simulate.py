@@ -471,14 +471,6 @@ noise std=1.0
         assert session.truth[view] == reference.truth[view]
 
 
-def test_pose_lookup_by_view(config, poses):
-    scene = _static_scene((0.16, -1.0, 0.0))
-    session = simulate_session(scene, poses, config, 0.1, seed=0)
-    assert session.pose_for("right").view == "right"
-    with pytest.raises(KeyError):
-        session.pose_for("top")
-
-
 # --- scene files -------------------------------------------------------------
 
 
@@ -521,6 +513,9 @@ def test_parse_scene_defaults():
     assert scene.left_clock == ClockModel()
 
 
+ONE_WAYPOINT = "waypoint t=0 x=0 y=-1 z=0\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -533,6 +528,18 @@ def test_parse_scene_defaults():
         ("scatterer\nwaypoint t=0 x=0 y=0\n", "s.txt:2: waypoint missing z"),
         ("scatterer reflectivity=1\n", "s.txt:1: scatterer has no waypoints"),
         ("scatterer\nnoise std\n", "s.txt:2: expected key=value"),
+        # values the scene's value objects reject, placed on their line
+        ("scatterer reflectivity=-1\n" + ONE_WAYPOINT,
+         "s.txt:1: scatterer reflectivity must be finite and non-negative, got -1.0"),
+        ("scatterer reflectivity=inf\n" + ONE_WAYPOINT, "s.txt:1: scatterer reflectivity"),
+        ("scatterer\n" + ONE_WAYPOINT + "scatterer reflectivity=nan\n" + ONE_WAYPOINT,
+         "s.txt:3: scatterer reflectivity"),
+        ("clock left jitter_s=-1\n",
+         "s.txt:1: clock jitter must be finite and non-negative, got -1.0"),
+        ("clock right jitter_s=inf\n", "s.txt:1: clock jitter"),
+        ("\nclock left offset_s=nan\n", "s.txt:2: clock offset must be finite, got nan"),
+        ("noise std=-1\n", "s.txt:1: noise std must be finite and non-negative, got -1.0"),
+        ("scatterer\n" + ONE_WAYPOINT + "noise std=nan\n", "s.txt:3: noise std"),
     ],
 )
 def test_parse_scene_errors_carry_positions(text, message):
