@@ -63,7 +63,6 @@ from .spatial import (
     detect_points,
     energy_compensation,
     extract_point_cloud,
-    gate_bin_interval,
     project_to_cartesian,
     range_gate,
     select_by_velocity,

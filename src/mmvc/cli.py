@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import write_feature_tensor
+from .fusion import MAX_SKEW_S, WINDOW_LEN, write_feature_tensor
 from .io_files import (
     CaptureFormatError,
     dump_tensor,
@@ -39,6 +39,7 @@ from .pipeline import (
     calibrated_stream,
     check_stream,
     frame_chain,
+    mti_warmup_frames,
     run_pipeline,
     score_recovery,
 )
@@ -131,11 +132,11 @@ def _add_fusion_flags(sub):
         help="window rejection threshold on mean cross-stream gap",
     )
     sub.add_argument(
-        "--max-skew-ms", type=float, default=10.0,
+        "--max-skew-ms", type=float, default=MAX_SKEW_S * 1e3,
         help="maximum pairing skew between views",
     )
     sub.add_argument(
-        "--window", type=int, default=10, help="frames per alignment window"
+        "--window", type=int, default=WINDOW_LEN, help="frames per alignment window"
     )
 
 
@@ -248,9 +249,7 @@ def _cmd_verify(args) -> int:
     scene = load_scene(scene_path)
     config = _apply_config_overrides(_load_or_default_config(args.config), args)
     options = _options_from_args(args)
-    frames = _frames_in(args.duration, config)
-    if options.apply_mti and frames <= config.mti_history:
-        # score_recovery skips the motion filter's warm-up frames
+    if _frames_in(args.duration, config) <= mti_warmup_frames(config, options):
         raise ConfigError(
             f"--duration {args.duration} s ends inside the "
             f"{config.mti_history}-frame motion-filter warm-up"

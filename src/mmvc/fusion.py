@@ -20,6 +20,11 @@ from .types import FrameCube, PointCloud, RadarConfig, ns_to_seconds, seconds_to
 TENSOR_MAGIC = b"MMFT"
 TENSOR_VERSION = 1
 
+# Pairing and gating defaults: the largest skew at which two views' frames
+# still pair, and the frames per alignment window.
+MAX_SKEW_S = 0.010
+WINDOW_LEN = 10
+
 
 class TensorFormatError(ValueError):
     """Raised for malformed feature tensor files."""
@@ -77,7 +82,7 @@ def _calibrated_ns(frame, stream_name: str) -> int:
     return ts
 
 
-def pair_views(left, right, max_skew_s: float = 0.010) -> PairingResult:
+def pair_views(left, right, max_skew_s: float = MAX_SKEW_S) -> PairingResult:
     """Greedy nearest-timestamp pairing of two calibrated streams.
 
     Walks both streams in time order; a pair forms when the gap is at
@@ -149,7 +154,7 @@ class AlignedWindow:
 
 def gate_windows(
     paired,
-    window_len: int = 10,
+    window_len: int = WINDOW_LEN,
     tau_s: float = RadarConfig.tau_s,
     label_timestamps_s=None,
 ) -> tuple[AlignedWindow, ...]:

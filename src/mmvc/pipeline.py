@@ -88,8 +88,8 @@ def run_pipeline(
     poses=None,
     options: ProcessingOptions = ProcessingOptions(),
     *,
-    max_skew_s: float = 0.010,
-    window_len: int = 10,
+    max_skew_s: float = fusion.MAX_SKEW_S,
+    window_len: int = fusion.WINDOW_LEN,
     weights: np.ndarray | None = None,
 ) -> PipelineResult:
     """Run calibration-aware fusion over two calibrated frame streams.
@@ -191,6 +191,12 @@ def _truth_for_frame(session, view: str, idx: int, config: RadarConfig):
 RECOVERY_PASS_RATE = 0.98
 
 
+def mti_warmup_frames(config: RadarConfig, options: ProcessingOptions) -> int:
+    """Leading frames ``score_recovery`` skips: the motion filter's
+    ``mti_history``-frame warm-up when it runs, none when it does not."""
+    return config.mti_history if options.apply_mti else 0
+
+
 def score_recovery(
     result: PipelineResult,
     session,
@@ -204,7 +210,7 @@ def score_recovery(
     within one bin of the nearest truth target on every axis, and the
     absolute errors per axis (range, velocity, azimuth, elevation).
     """
-    warmup = config.mti_history if options.apply_mti else 0
+    warmup = mti_warmup_frames(config, options)
     range_tol = config.range_resolution_m + 1e-9
     vel_tol = config.velocity_resolution_mps + 1e-9
     # The sweep couples range rate into the beat frequency, shifting the

@@ -245,7 +245,8 @@ def simulate_session(
     Frames are spaced exactly ``frame_period_s`` apart in truth time.
     Each stream's local timestamps are the truth times perturbed by its
     clock model (constant offset plus white jitter); the clock sample
-    recorded for calibration is taken jitter-free at session start.
+    recorded for calibration is taken jitter-free at session start. A
+    local time past an int64 nanosecond count is a SceneFormatError.
     Identical (scene, config, seed) runs reproduce identical sessions.
     """
     poses = tuple(poses)
@@ -273,7 +274,13 @@ def simulate_session(
         stream_truth = []
         for f, t in enumerate(frame_starts):
             frame_rng = np.random.default_rng([seed, code, _SAMPLE_STREAM, f])
-            local_ns = seconds_to_ns(t + clock.offset_s + jitter[f])
+            local_s = float(t + clock.offset_s + jitter[f])
+            if not -(2**63) <= local_s * 1e9 < 2**63:  # the capture's int64 field
+                raise SceneFormatError(
+                    f"the {pose.view} clock puts frame {f} at {local_s:.6g} s, "
+                    "past an int64 nanosecond timestamp"
+                )
+            local_ns = seconds_to_ns(local_s)
             stream.append(
                 synthesize_frame(
                     scene,

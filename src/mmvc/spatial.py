@@ -69,49 +69,18 @@ def energy_compensation(rd: RangeDopplerMap) -> RangeDopplerMap:
     return dataclasses.replace(rd, cells=cells * scale[:, None, :])
 
 
-def gate_bin_interval(
-    bounds_m: tuple[float, float],
-    bin_width_m: float,
-    bin_count: int,
-) -> tuple[int, int]:
-    """Inclusive (first, last) range-bin interval for a gate.
-
-    A bin belongs to the gate when its centre distance lies in
-    [low, high); the half-open top keeps adjacent gates disjoint when a
-    bound lands exactly on a bin centre. Raises for gates that fall
-    outside the map or that contain no bin centre at all.
-    """
-    low, high = bounds_m
-    if not (0 <= low < high):
-        raise ValueError(f"bad gate bounds ({low}, {high})")
-    eps = 1e-9
-    first = math.ceil(low / bin_width_m - eps)
-    last = math.ceil(high / bin_width_m - eps) - 1
-    if first >= bin_count:
+def range_gate(rd: RangeDopplerMap, gate: int, config: RadarConfig) -> RangeDopplerMap:
+    """Gate ``gate``'s band of a full map: a view of its rows
+    ``config.gate_bins[gate]``, not a copy, with ``first_range_bin`` first
+    and the gate's tag."""
+    rows = rd.cells.shape[0]
+    if rows != config.range_bin_count:
         raise ValueError(
-            f"gate ({low}, {high}) lies outside the map extent "
-            f"({bin_count * bin_width_m:.3f} m)"
+            f"map holds {rows} range bins, the config {config.range_bin_count}"
         )
-    if last < first:
-        raise ValueError(f"empty gate: ({low}, {high}) contains no bin centre")
-    return first, min(last, bin_count - 1)
-
-
-def range_gate(
-    rd: RangeDopplerMap,
-    bounds_m: tuple[float, float],
-    config: RadarConfig,
-    tag: str = "",
-) -> RangeDopplerMap:
-    """The gate's band of a full map: a view of its rows first..last
-    (``gate_bin_interval``), not a copy, with ``first_range_bin`` first."""
-    if rd.first_range_bin:
-        raise ValueError(f"map is already a band from range bin {rd.first_range_bin}")
-    first, last = gate_bin_interval(
-        bounds_m, config.range_resolution_m, rd.cells.shape[0]
-    )
+    first, last = config.gate_bins[gate]
     return dataclasses.replace(
-        rd, cells=rd.cells[first : last + 1], gate=tag or rd.gate, first_range_bin=first
+        rd, cells=rd.cells[first : last + 1], gate=gate_tag(gate), first_range_bin=first
     )
 
 
@@ -402,8 +371,8 @@ def extract_point_cloud(
         weights = dbf_weights(config)
     n = 2 * config.point_budget
     blocks, pads = [], []
-    for i, bounds in enumerate(config.gate_bounds_m):
-        band = range_gate(rd, bounds, config, gate_tag(i))
+    for gate in range(len(config.gate_bins)):
+        band = range_gate(rd, gate, config)
         cands = detect_points(band, weights, config)
         selected, pad_count = select_by_velocity(cands, config)
         if len(selected):

@@ -33,9 +33,7 @@ VIEWS = (VIEW_LEFT, VIEW_RIGHT)
 # Gate tags, ordered to match ``RadarConfig.gate_bounds_m``. The first
 # gate covers the nearer (upper body) band, the second the farther
 # (lower body) band.
-GATE_UPPER = "upper"
-GATE_LOWER = "lower"
-GATE_TAGS = (GATE_UPPER, GATE_LOWER)
+GATE_TAGS = ("upper", "lower")
 
 
 def gate_tag(index: int) -> str:
@@ -220,6 +218,19 @@ class RadarConfig:
         angles.setflags(write=False)
         return angles
 
+    @functools.cached_property
+    def gate_bins(self) -> tuple[tuple[int, int], ...]:
+        """Inclusive (first, last) range-bin interval of each gate: bin k
+        belongs to a gate when its centre ``k * range_resolution_m`` lies
+        in [low, high), so a bound on a bin centre starts the next gate.
+        ``validate_config`` keeps every interval non-empty and in the map."""
+        width = self.range_resolution_m
+        eps = 1e-9
+        return tuple(
+            (math.ceil(lo / width - eps), math.ceil(hi / width - eps) - 1)
+            for lo, hi in self.gate_bounds_m
+        )
+
     # ------------------------- serialisation -------------------------
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -327,10 +338,11 @@ def validate_config(config: RadarConfig) -> RadarConfig:
         errs.append("gate_bounds_m: at least one gate is required")
     range_ok = _positive_finite(config.bandwidth_hz) and _is_power_of_two(config.samples_per_chirp)
     prev_hi = None
+    before_gates = len(errs)
     for lo, hi in config.gate_bounds_m:
         if lo < 0:
             errs.append(f"gate_bounds_m: gate bound below zero: ({lo}, {hi})")
-        if lo >= hi:
+        if not lo < hi:  # NaN included
             errs.append(f"gate_bounds_m: gate bounds not increasing: ({lo}, {hi})")
         if prev_hi is not None and lo < prev_hi:
             errs.append(
@@ -343,6 +355,10 @@ def validate_config(config: RadarConfig) -> RadarConfig:
                 f"range {config.max_range_m}"
             )
         prev_hi = hi
+    if range_ok and len(errs) == before_gates:  # bins of sound gates only
+        for (lo, hi), (first, last) in zip(config.gate_bounds_m, config.gate_bins):
+            if last < first:
+                errs.append(f"gate_bounds_m: gate ({lo}, {hi}) holds no range-bin centre")
 
     if errs:
         raise ConfigError("; ".join(errs))

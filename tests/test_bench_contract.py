@@ -12,6 +12,11 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from mmvc import RadarConfig, RangeDopplerMap, default_pose_pair, spatial
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPEC_PATH = PERFBENCH / "spec.py"
 # selftest.py checks the benchmark itself; the benchmark command never runs it.
@@ -87,3 +92,29 @@ def test_every_mmvc_name_the_benchmark_uses_resolves():
     assert refs, "found no mmvc reference in perfbench/"
     missing = sorted(f"{name}: {ref}" for name, ref in refs if _resolve(ref) is _MISSING)
     assert not missing, "perfbench uses names mmvc lacks: " + ", ".join(missing)
+
+
+def test_detections_carry_the_candidate_keys():
+    # the traced run keys each detect_points result on f"{view}.{gate}";
+    # a tag that drifts from CANDIDATE_KEYS reads 0 and raises nothing
+    spec = _load_spec()
+    config = RadarConfig()
+    rng = np.random.default_rng(3)
+    shape = (config.range_bin_count, 8, 3)
+    detect = spatial.detect_points
+    keys = []
+
+    def recording(band, weights, cfg):
+        cands = detect(band, weights, cfg)
+        assert len(cands)  # noise in every row populates both gates
+        keys.append(f"{cands.view}.{cands.gate}")
+        return cands
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial, "detect_points", recording)
+        for pose in default_pose_pair():
+            cells = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            rd = RangeDopplerMap(cells=cells, view=pose.view, frame_index=0)
+            spatial.extract_point_cloud(rd, pose, config)
+    prefix = "spatial.candidates."
+    assert sorted(keys) == sorted(k.removeprefix(prefix) for k in spec.CANDIDATE_KEYS)

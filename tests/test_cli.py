@@ -162,6 +162,24 @@ def test_scatterer_at_a_sensor_origin_is_a_one_line_error(tmp_path, capsys, comm
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.txt"]
 
 
+@pytest.mark.parametrize(
+    "clock, message",
+    [
+        ("left offset_s=1e12", "the left clock puts frame 0 at 1e+12 s"),
+        # the jitter draw of the right view's first frame
+        ("right jitter_s=1e12", "the right clock puts frame 0 at -1.09519e+12 s"),
+    ],
+)
+def test_clock_past_an_int64_timestamp_is_a_one_line_error(tmp_path, capsys, clock, message):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(QUIET_SCENE + f"clock {clock}\n")
+    argv = ["simulate", "--scene", str(scene), "--duration", "0.3", "--out", str(tmp_path / "cap")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {message}, past an int64 nanosecond timestamp"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.txt"]
+
+
 # --- process -----------------------------------------------------------------
 
 
@@ -377,7 +395,7 @@ def _embed(path, field, value):
     path.write_bytes(data[:9] + struct.pack("<I", len(blob)) + blob + rest)
 
 
-@pytest.mark.parametrize("gates", [[[0.3]], [["x", 1.0]], [[0.3, 0.9], 5]])
+@pytest.mark.parametrize("gates", [[[0.3]], [["x", 1.0]], [[0.3, 0.9], 5], [[0.31, 0.34]]])
 def test_commands_reject_malformed_embedded_gates(tmp_path, capsys, gates):
     cap = _simulate(tmp_path, duration="0.2")
     for view in ("left", "right"):
@@ -718,6 +736,37 @@ def test_two_bad_overrides_are_one_error_line(tmp_path, capsys):
         "error: tau_s: must be positive and finite; "
         "gate_bounds_m: gate bounds not increasing: (0.9, 0.3)"
     ]
+
+
+NO_BIN_GATE = "gate_bounds_m: gate (0.31, 0.34) holds no range-bin centre"
+
+
+@pytest.mark.parametrize("command", ["process", "verify", "simulate"])
+def test_gate_holding_no_range_bin_is_a_one_line_error(tmp_path, capsys, command):
+    # 0.31-0.34 m lies between the centres of range bins 6 and 7 (0.05 m apart)
+    work = tmp_path / "work"
+    work.mkdir()
+    scene = work / "scene.txt"
+    scene.write_text(QUIET_SCENE)
+    if command == "process":
+        cap = _simulate(work, duration="0.2")
+        argv = _process_argv(cap, tmp_path / "o") + ["--gates", "0.31:0.34,0.9:1.5"]
+        message = NO_BIN_GATE
+    elif command == "verify":
+        argv = ["verify", "--scene", str(scene), "--gates", "0.31:0.34"]
+        message = NO_BIN_GATE
+    else:
+        cfg_path = work / "radar.yaml"
+        cfg_path.write_text("gate_bounds_m: [[0.31, 0.34]]\n")
+        argv = ["simulate", "--scene", str(scene), "--config", str(cfg_path)]
+        argv += ["--out", str(tmp_path / "o")]
+        message = f"{cfg_path}: {NO_BIN_GATE}"
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
 
 
 def test_config_file_with_two_bad_fields_is_one_error_line(tmp_path, capsys):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmvc
-from mmvc import ConfigError, RadarConfig, mirror_pose, validate_config
+from mmvc import ConfigError, ProcessingOptions, RadarConfig, mirror_pose, validate_config
+from mmvc.pipeline import frame_chain
 from mmvc.types import FrameCube, Trajectory
 
 
@@ -92,6 +95,53 @@ def test_config_rejects_unknown_keys():
     data["chirp_count"] = 3
     with pytest.raises(ConfigError, match="unknown config keys: chirp_count"):
         RadarConfig.from_dict(data)
+
+
+# Bin width at the default 3 GHz sweep, and gate edges a draw is built
+# from: on a bin centre, a rounding step either side of one, inside a bin.
+_WIDTH = 0.05
+_NUDGES = (0.0, -1e-12, 1e-12, -0.4 * _WIDTH, -0.1 * _WIDTH, 0.1 * _WIDTH, 0.4 * _WIDTH)
+
+
+@st.composite
+def _gate_draws(draw):
+    samples = draw(st.sampled_from((4, 8, 16)))
+    top = samples // 2 * _WIDTH  # max_range_m
+    edge = st.one_of(
+        st.builds(lambda k, d: k * _WIDTH + d, st.integers(0, samples // 2), st.sampled_from(_NUDGES)),
+        st.floats(0.0, 1.05 * top),
+    )
+    n = 2 * draw(st.integers(1, 3))
+    values = draw(st.lists(edge, min_size=n, max_size=n, unique=True))
+    if draw(st.integers(0, 3)):  # mostly in order, so most draws construct
+        values.sort()
+    gates = tuple(zip(values[::2], values[1::2]))
+    return samples, gates, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200)
+@given(_gate_draws())
+def test_a_config_that_constructs_can_run(poses, draw):
+    samples, gates, budget, seed = draw
+    try:
+        config = RadarConfig(
+            samples_per_chirp=samples, chirps_per_frame=4, point_budget=budget,
+            gate_bounds_m=gates,
+        )
+    except ConfigError:
+        return
+    rng = np.random.default_rng(seed)
+    shape = config.frame_shape
+    iq = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    frame = FrameCube(samples=iq, view="left", frame_index=0, local_timestamp_ns=0)
+    options = ProcessingOptions(apply_mti=False)
+    ((_, _, cloud, _),) = frame_chain([frame], config, options, poses[0])
+    assert len(cloud) == 2 * budget * len(gates)
+
+    bins = config.gate_bins
+    assert len(bins) == len(gates)
+    assert all(0 <= first <= last < config.range_bin_count for first, last in bins)
+    assert all(a[1] < b[0] for a, b in zip(bins, bins[1:]))
 
 
 def test_gate_bounds_normalized_to_float_tuples():

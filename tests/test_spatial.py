@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import CLOUD_COLUMNS
 from mmvc import (
     Candidates,
+    ConfigError,
     MtiState,
     RadarPose,
     Scatterer,
@@ -21,7 +22,6 @@ from mmvc import (
     detect_points,
     energy_compensation,
     extract_point_cloud,
-    gate_bin_interval,
     process_frame,
     project_to_cartesian,
     range_gate,
@@ -146,35 +146,35 @@ def test_compensation_means_match_over_random_instances(config):
 
 
 def test_gate_bins_partition_at_shared_bound(config):
-    width = config.range_resolution_m
-    upper = gate_bin_interval((0.3, 0.9), width, 64)
-    lower = gate_bin_interval((0.9, 1.5), width, 64)
-    assert upper == (6, 17)
-    assert lower == (18, 29)
+    assert config.gate_bins == ((6, 17), (18, 29))
     # 0.9 m sits exactly on bin 18's centre and belongs to one gate only
 
 
-def test_gate_interval_clamps_to_map_end(config):
-    width = config.range_resolution_m
-    assert gate_bin_interval((3.0, 3.2), width, 64) == (60, 63)
+def test_gate_bins_end_at_the_map_end(config):
+    gate = dataclasses.replace(config, gate_bounds_m=((3.0, 3.2),))
+    assert gate.gate_bins == ((60, 63),)
 
 
-def test_gate_interval_rejects_bad_bounds(config):
-    width = config.range_resolution_m
-    with pytest.raises(ValueError, match="bad gate bounds"):
-        gate_bin_interval((0.9, 0.3), width, 64)
-    with pytest.raises(ValueError, match="bad gate bounds"):
-        gate_bin_interval((-0.1, 0.3), width, 64)
-    with pytest.raises(ValueError, match="outside the map extent"):
-        gate_bin_interval((3.3, 3.4), width, 64)
-    with pytest.raises(ValueError, match="empty gate"):
-        gate_bin_interval((0.301, 0.349), width, 64)
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((0.9, 0.3), "gate bounds not increasing: (0.9, 0.3)"),
+        ((-0.1, 0.3), "gate bound below zero: (-0.1, 0.3)"),
+        ((math.nan, 0.3), "gate bounds not increasing: (nan, 0.3)"),
+        ((3.3, 3.4), "gate upper bound 3.4 exceeds the maximum range 3.2"),
+        ((0.301, 0.349), "gate (0.301, 0.349) holds no range-bin centre"),
+    ],
+    ids=["decreasing", "negative", "nan", "past-max-range", "no-bin-centre"],
+)
+def test_bad_gate_is_a_config_error(config, bounds, message):
+    with pytest.raises(ConfigError, match=re.escape(f"gate_bounds_m: {message}")):
+        dataclasses.replace(config, gate_bounds_m=(bounds,))
 
 
 def test_range_gate_is_a_view_of_the_band(config):
     cells = np.arange(64 * 4 * 3).reshape(64, 4, 3).astype(complex)
     rd = _rd(cells)
-    band = range_gate(rd, (0.3, 0.9), config, tag="upper")
+    band = range_gate(rd, 0, config)
     assert band.gate == "upper"
     assert band.first_range_bin == 6
     assert np.array_equal(band.cells, cells[6:18])
@@ -183,17 +183,18 @@ def test_range_gate_is_a_view_of_the_band(config):
 
 def test_adjacent_gates_cover_disjoint_rows(config):
     rd = _rd(np.ones((64, 4, 3), dtype=complex))
-    upper = range_gate(rd, (0.3, 0.9), config)
-    lower = range_gate(rd, (0.9, 1.5), config)
+    upper = range_gate(rd, 0, config)
+    lower = range_gate(rd, 1, config)
+    assert (upper.gate, lower.gate) == ("upper", "lower")
     upper_rows = range(upper.first_range_bin, upper.first_range_bin + len(upper.cells))
     lower_rows = range(lower.first_range_bin, lower.first_range_bin + len(lower.cells))
     assert (upper_rows, lower_rows) == (range(6, 18), range(18, 30))
 
 
 def test_range_gate_rejects_a_band(config):
-    band = range_gate(_rd(np.ones((64, 4, 3))), (0.3, 0.9), config)
-    with pytest.raises(ValueError, match="already a band from range bin 6"):
-        range_gate(band, (0.3, 0.6), config)
+    band = range_gate(_rd(np.ones((64, 4, 3))), 0, config)
+    with pytest.raises(ValueError, match="map holds 12 range bins, the config 64"):
+        range_gate(band, 0, config)
 
 
 # --- beamforming -------------------------------------------------------------
@@ -653,14 +654,12 @@ def test_extraction_passes_timestamp_and_view(config, poses):
 # for bit.
 
 
-def _zero_filled_gate(rd, bounds_m, config, tag=""):
+def _zero_filled_gate(rd, gate, config):
     """``range_gate`` before bands: zero every cell outside the gate."""
-    first, last = gate_bin_interval(
-        bounds_m, config.range_resolution_m, rd.cells.shape[0]
-    )
+    first, last = config.gate_bins[gate]
     out = np.zeros_like(rd.cells)
     out[first : last + 1] = rd.cells[first : last + 1]
-    return dataclasses.replace(rd, cells=out, gate=tag or rd.gate)
+    return dataclasses.replace(rd, cells=out, gate=gate_tag(gate))
 
 
 def _dense_detect(band, weights, config):
@@ -735,8 +734,8 @@ def _reference_points(rd, poses, config, weights):
     energy, range, azimuth, elevation, view code, gate code, is_pad)."""
     clouds = [[] for _ in poses]
     view_code = VIEWS.index(rd.view)
-    for i, bounds in enumerate(config.gate_bounds_m):
-        gated = _zero_filled_gate(rd, bounds, config, gate_tag(i))
+    for i in range(len(config.gate_bins)):
+        gated = _zero_filled_gate(rd, i, config)
         _, cands = _reference_candidates(gated, weights, config)
         selected, pad_count = select_by_velocity(cands, config)
         if len(selected) == 0:
@@ -799,13 +798,9 @@ def equivalence_maps(config, poses):
         for _ in range(3):
             cells[rng.integers(shape[0]), rng.integers(shape[1])] *= rng.uniform(5, 50)
         maps.append(_rd(cells))
-    gates = [
-        gate_bin_interval(b, config.range_resolution_m, shape[0])
-        for b in config.gate_bounds_m
-    ]
     for k in range(12):
         cells = noise()
-        first, last = gates[k % 2]
+        first, last = config.gate_bins[k % 2]
         rows = np.arange(first, last + 1)
         # the first two silence a whole gate; the rest hole it, edges included
         count = len(rows) if k < 2 else int(rng.integers(1, len(rows)))
@@ -923,10 +918,10 @@ def test_factored_detection_matches_full_field(config, equivalence_maps):
     weights = dbf_weights(config)
     checked = 0
     for rd in equivalence_maps:
-        for i, bounds in enumerate(config.gate_bounds_m):
-            filled = _zero_filled_gate(rd, bounds, config, gate_tag(i))
+        for i in range(len(config.gate_bins)):
+            filled = _zero_filled_gate(rd, i, config)
             ref_mags, ref = _reference_candidates(filled, weights, config)
-            band = range_gate(rd, bounds, config, gate_tag(i))
+            band = range_gate(rd, i, config)
             field = _field(band, weights, config)
             first, last = band.first_range_bin, band.first_range_bin + len(field)
             assert _same_bits(field, ref_mags[first:last])
@@ -982,13 +977,14 @@ _EDGES = {"none": (0, 0), "first": (1, 0), "last": (0, 1), "both": (1, 1), "all"
 @example(first=7, extent=0, edges="none", seed=1)  # a one-bin gate
 @example(first=9, extent=6, edges="last", seed=2)  # ends at the last bin
 def test_band_extraction_matches_zero_filled_scan(config, poses, first, extent, edges, seed):
-    # a 16-row map; a gate drawn past the last row is clamped to it
+    # a 16-row map (32 samples per chirp); a gate drawn past the last row
+    # ends at it, as one past the map is a ConfigError
     rows = 16
-    last = first + extent
+    end = min(first + extent, rows - 1)
     width = config.range_resolution_m
-    bounds = (first * width, (last + 1) * width)
-    end = min(last, rows - 1)
-    assert gate_bin_interval(bounds, width, rows) == (first, end)
+    bounds = (first * width, (end + 1) * width)
+    cfg = dataclasses.replace(config, samples_per_chirp=32, gate_bounds_m=(bounds,))
+    assert cfg.gate_bins == ((first, end),)
 
     rng = np.random.default_rng(seed)
     cells = rng.standard_normal((rows, 8, 3)) + 1j * rng.standard_normal((rows, 8, 3))
@@ -1000,7 +996,6 @@ def test_band_extraction_matches_zero_filled_scan(config, poses, first, extent, 
         cells[first : first + head] = 0.0
         cells[end + 1 - tail : end + 1] = 0.0
     rd = _rd(cells, view="left")
-    cfg = dataclasses.replace(config, gate_bounds_m=(bounds,))
     weights = dbf_weights(config)
 
     cloud = extract_point_cloud(rd, poses[0], cfg, weights=weights)
